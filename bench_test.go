@@ -24,6 +24,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/ortho"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/pivot"
 	"repro/internal/sssp"
@@ -213,7 +214,7 @@ func BenchmarkTable7Ortho(b *testing.B) {
 	}{{"MGS", ortho.MGS}, {"CGS", ortho.CGS}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ortho.DOrthogonalize(m, deg, c.method)
+				ortho.DOrthogonalizeBudget(parallel.Live(), m, deg, c.method, nil)
 			}
 		})
 	}
@@ -334,7 +335,7 @@ func BenchmarkPermutationLS(b *testing.B) {
 		deg := c.g.WeightedDegrees()
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				linalg.LapMulDense(c.g, deg, s)
+				linalg.LapMulDenseTiledPackedBudget(parallel.Live(), c.g, deg, s, nil, nil, nil)
 			}
 		})
 	}
@@ -364,25 +365,15 @@ func BenchmarkRefineVsPower(b *testing.B) {
 
 func BenchmarkBFSDirection(b *testing.B) {
 	datasets()
-	for _, c := range []struct {
-		name string
-		opt  bfs.Options
-	}{
-		{"direction_optimizing", bfs.Options{}},
-		{"top_down_only", bfs.Options{ForceTopDown: true}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			runner := bfs.NewRunner(gKron, c.opt)
-			dist := make([]int32, gKron.NumV)
-			b.ResetTimer()
-			var scanned int64
-			for i := 0; i < b.N; i++ {
-				st := runner.Distances(0, dist)
-				scanned = st.ScannedEdges
-			}
-			b.ReportMetric(float64(scanned), "edges-scanned")
-		})
+	runner := bfs.NewRunnerBudget(gKron, bfs.Options{}, nil, parallel.Live())
+	dist := make([]int32, gKron.NumV)
+	b.ResetTimer()
+	var scanned int64
+	for i := 0; i < b.N; i++ {
+		st := runner.Distances(0, dist)
+		scanned = st.ScannedEdges
 	}
+	b.ReportMetric(float64(scanned), "edges-scanned")
 }
 
 func BenchmarkLSKernel(b *testing.B) {
@@ -394,7 +385,7 @@ func BenchmarkLSKernel(b *testing.B) {
 	}
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			linalg.LapMulDense(gKron, deg, s)
+			linalg.LapMulDenseTiledPackedBudget(parallel.Live(), gKron, deg, s, nil, nil, nil)
 		}
 	})
 	b.Run("explicit_laplacian", func(b *testing.B) {
@@ -430,7 +421,7 @@ func BenchmarkGemmAtB(b *testing.B) {
 		x.Data[i] = float64(i%11) * 0.3
 	}
 	for i := 0; i < b.N; i++ {
-		linalg.AtB(x, x)
+		linalg.AtBBudget(parallel.Live(), x, x, nil, nil)
 	}
 }
 
@@ -539,7 +530,7 @@ func BenchmarkPartitionPipeline(b *testing.B) {
 	}
 }
 
-// --- MS-BFS and tiled-LS kernel ablations --------------------------------------
+// --- MS-BFS kernel ablation --------------------------------------
 
 func BenchmarkMSBFSvsSerialBatch(b *testing.B) {
 	datasets()
@@ -554,7 +545,7 @@ func BenchmarkMSBFSvsSerialBatch(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bfs.MSBFS(gKron, sources, dists)
+			bfs.MSBFSOpts(parallel.Live(), gKron, sources, dists, nil, bfs.MSOptions{})
 		}
 	})
 	b.Run("serial_64", func(b *testing.B) {
@@ -564,25 +555,6 @@ func BenchmarkMSBFSvsSerialBatch(b *testing.B) {
 			for _, src := range sources {
 				bfs.Serial(gKron, src, dist)
 			}
-		}
-	})
-}
-
-func BenchmarkLSTiled(b *testing.B) {
-	datasets()
-	deg := gWeb.WeightedDegrees()
-	s := linalg.NewDense(gWeb.NumV, 50)
-	for i := range s.Data {
-		s.Data[i] = float64(i % 23)
-	}
-	b.Run("columnwise_s50", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			linalg.LapMulDense(gWeb, deg, s)
-		}
-	})
-	b.Run("tiled_s50", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			linalg.LapMulDenseTiled(gWeb, deg, s)
 		}
 	})
 }

@@ -39,7 +39,7 @@ func run() error {
 		algo     = flag.String("algo", "parhde", "algorithm: parhde, phde, pivotmds, prior, multilevel")
 		s        = flag.Int("s", 50, "subspace dimension (number of pivots)")
 		pivots   = flag.String("pivots", "kcenters", "pivot strategy: kcenters, random")
-		orthoM   = flag.String("ortho", "mgs", "orthogonalization: mgs, cgs, mgs-l1")
+		orthoM   = flag.String("ortho", "mgs", "orthogonalization: mgs, cgs")
 		plain    = flag.Bool("plain", false, "plain orthogonalization instead of D-orthogonalization")
 		weighted = flag.Bool("weighted", false, "keep edge weights and use Δ-stepping SSSP")
 		delta    = flag.Float64("delta", 0, "Δ-stepping bucket width (0 = heuristic)")
@@ -72,10 +72,11 @@ func run() error {
 		opt.Pivots = pivot.Random
 	}
 	switch *orthoM {
+	case "mgs":
 	case "cgs":
 		opt.Ortho = ortho.CGS
-	case "mgs-l1":
-		opt.Ortho = ortho.MGSLevel1
+	default:
+		return fmt.Errorf("unknown -ortho %q (want mgs or cgs)", *orthoM)
 	}
 	opt.PlainOrtho = *plain
 

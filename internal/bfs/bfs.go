@@ -41,9 +41,6 @@ func (s *Stats) Add(o Stats) {
 type Options struct {
 	Alpha int64 // top-down → bottom-up switch threshold (0 = DefaultAlpha)
 	Beta  int64 // bottom-up → top-down switch threshold (0 = DefaultBeta)
-	// ForceTopDown disables the bottom-up direction entirely, yielding a
-	// plain level-synchronous parallel BFS (used for ablation benches).
-	ForceTopDown bool
 }
 
 // Runner holds the reusable state for repeated traversals over one graph,
@@ -57,25 +54,15 @@ type Runner struct {
 	workers int
 }
 
-// NewRunner creates a Runner for g with private scratch.
-func NewRunner(g *graph.CSR, opt Options) *Runner {
-	return NewRunnerScratch(g, opt, nil)
-}
-
-// NewRunnerScratch creates a Runner for g backed by sc, regrowing it if it
+// NewRunnerBudget creates a Runner for g backed by sc, regrowing it if it
 // is too small for g (nil allocates private scratch). The caller may hand
-// the same Scratch to successive Runners over different graphs — the PR-2
-// job engine reuses one per worker — but must not share it between
-// concurrently live Runners.
-func NewRunnerScratch(g *graph.CSR, opt Options, sc *Scratch) *Runner {
-	return NewRunnerBudget(g, opt, sc, parallel.SnapshotBudget())
-}
-
-// NewRunnerBudget is NewRunnerScratch with an explicit worker budget. The
-// budget is pinned for the Runner's lifetime: the per-worker queue arenas
-// and every traversal step use the same worker count, so a GOMAXPROCS
-// change mid-run can never desynchronize the partition from the scratch
-// (live budgets are snapshotted once here for exactly that reason).
+// the same Scratch to successive Runners over different graphs — the job
+// engine reuses one per worker — but must not share it between
+// concurrently live Runners. The budget is pinned for the Runner's
+// lifetime: the per-worker queue arenas and every traversal step use the
+// same worker count, so a GOMAXPROCS change mid-run can never
+// desynchronize the partition from the scratch (live budgets are
+// snapshotted once here for exactly that reason).
 func NewRunnerBudget(g *graph.CSR, opt Options, sc *Scratch, bud parallel.Budget) *Runner {
 	if opt.Alpha <= 0 {
 		opt.Alpha = DefaultAlpha
@@ -123,24 +110,22 @@ func (r *Runner) Distances(src int32, dist []int32) Stats {
 
 	for frontierSize > 0 {
 		st.Levels++
-		if !r.opt.ForceTopDown {
-			if !bottomUp && frontierEdges > unexploredEdges/r.opt.Alpha {
-				// Switch: materialize the frontier bitmap from the queue.
-				r.sc.front.Reset()
-				q := r.sc.queue
-				if r.workers == 1 {
-					for _, v := range q {
-						r.sc.front.Set(v)
-					}
-				} else {
-					r.bud.For(len(q), func(i int) { r.sc.front.Set(q[i]) })
+		if !bottomUp && frontierEdges > unexploredEdges/r.opt.Alpha {
+			// Switch: materialize the frontier bitmap from the queue.
+			r.sc.front.Reset()
+			q := r.sc.queue
+			if r.workers == 1 {
+				for _, v := range q {
+					r.sc.front.Set(v)
 				}
-				bottomUp = true
-			} else if bottomUp && frontierSize < int64(n)/r.opt.Beta {
-				// Switch back: rebuild the queue from the bitmap.
-				r.rebuildQueue(level)
-				bottomUp = false
+			} else {
+				r.bud.For(len(q), func(i int) { r.sc.front.Set(q[i]) })
 			}
+			bottomUp = true
+		} else if bottomUp && frontierSize < int64(n)/r.opt.Beta {
+			// Switch back: rebuild the queue from the bitmap.
+			r.rebuildQueue(level)
+			bottomUp = false
 		}
 		var nf, ne, scanned int64
 		if bottomUp {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func TestSerialPathDistances(t *testing.T) {
@@ -35,7 +36,7 @@ func TestParallelMatchesSerialOnFixtures(t *testing.T) {
 		"web":   gen.WebGraph(3000, 10, 3),
 	}
 	for name, g := range fixtures {
-		runner := NewRunner(g, Options{})
+		runner := NewRunnerBudget(g, Options{}, nil, parallel.Live())
 		want := make([]int32, g.NumV)
 		got := make([]int32, g.NumV)
 		for _, src := range []int32{0, int32(g.NumV / 2), int32(g.NumV - 1)} {
@@ -70,7 +71,7 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 		want := make([]int32, g.NumV)
 		got := make([]int32, g.NumV)
 		Serial(g, src, want)
-		NewRunner(g, Options{}).Distances(src, got)
+		NewRunnerBudget(g, Options{}, nil, parallel.Live()).Distances(src, got)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -83,26 +84,32 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 	}
 }
 
+// TestForceTopDownMatchesDefault: the direction-optimizing runner's
+// distances equal a forced top-down traversal's (the serial queue BFS),
+// and on a skewed low-diameter graph it scans fewer adjacency entries
+// than top-down's one full scan per reached vertex (the γ < 1 of
+// Table 1).
 func TestForceTopDownMatchesDefault(t *testing.T) {
 	g := gen.Kron(11, 10, 5)
 	src := int32(0)
 	a := make([]int32, g.NumV)
 	b := make([]int32, g.NumV)
-	stDefault := NewRunner(g, Options{}).Distances(src, a)
-	stTopDown := NewRunner(g, Options{ForceTopDown: true}).Distances(src, b)
+	stDefault := NewRunnerBudget(g, Options{}, nil, parallel.Live()).Distances(src, a)
+	Serial(g, src, b)
+	var topDownScan int64
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("dist[%d]: %d vs %d", i, a[i], b[i])
 		}
+		if b[i] != Unreached {
+			topDownScan += int64(g.Degree(int32(i)))
+		}
 	}
-	if stTopDown.BottomUpSteps != 0 {
-		t.Fatalf("ForceTopDown ran %d bottom-up steps", stTopDown.BottomUpSteps)
+	if stDefault.BottomUpSteps == 0 {
+		t.Fatalf("no bottom-up steps on kron: %+v", stDefault)
 	}
-	// Direction optimization must reduce scanned edges on skewed
-	// low-diameter graphs (the γ < 1 of Table 1).
-	if stDefault.BottomUpSteps > 0 && stDefault.ScannedEdges >= stTopDown.ScannedEdges {
-		t.Fatalf("direction optimization scanned %d ≥ top-down %d",
-			stDefault.ScannedEdges, stTopDown.ScannedEdges)
+	if stDefault.ScannedEdges >= topDownScan {
+		t.Fatalf("direction optimization scanned %d ≥ top-down %d", stDefault.ScannedEdges, topDownScan)
 	}
 }
 
@@ -110,7 +117,7 @@ func TestDistanceAxiomsProperty(t *testing.T) {
 	// BFS distances satisfy: d(src)=0; every edge differs by at most 1;
 	// every reached vertex ≠ src has a neighbor at d−1.
 	g := gen.Urand(9, 8, 11)
-	runner := NewRunner(g, Options{})
+	runner := NewRunnerBudget(g, Options{}, nil, parallel.Live())
 	dist := make([]int32, g.NumV)
 	for trial := 0; trial < 5; trial++ {
 		src := int32((trial * 131) % g.NumV)
@@ -146,7 +153,7 @@ func TestDisconnectedMarksUnreached(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist := make([]int32, 4)
-	NewRunner(g, Options{}).Distances(0, dist)
+	NewRunnerBudget(g, Options{}, nil, parallel.Live()).Distances(0, dist)
 	if dist[2] != Unreached || dist[3] != Unreached {
 		t.Fatalf("cross-component distances %d %d, want Unreached", dist[2], dist[3])
 	}
@@ -158,7 +165,7 @@ func TestDisconnectedMarksUnreached(t *testing.T) {
 func TestStarTraversalStats(t *testing.T) {
 	g := gen.Star(100000)
 	dist := make([]int32, g.NumV)
-	st := NewRunner(g, Options{}).Distances(0, dist)
+	st := NewRunnerBudget(g, Options{}, nil, parallel.Live()).Distances(0, dist)
 	if st.Levels != 2 {
 		t.Fatalf("star levels = %d, want 2", st.Levels)
 	}
@@ -171,7 +178,7 @@ func TestStarTraversalStats(t *testing.T) {
 
 func TestRunnerReuseAcrossSources(t *testing.T) {
 	g := gen.Grid2D(30, 30)
-	runner := NewRunner(g, Options{})
+	runner := NewRunnerBudget(g, Options{}, nil, parallel.Live())
 	want := make([]int32, g.NumV)
 	got := make([]int32, g.NumV)
 	for src := int32(0); src < 10; src++ {
@@ -203,9 +210,9 @@ func TestBitmap(t *testing.T) {
 	if b.Get(0) || b.Get(199) {
 		t.Fatal("reset did not clear")
 	}
-	b.SetSerial(5)
+	b.Set(5)
 	if !b.Get(5) {
-		t.Fatal("SetSerial failed")
+		t.Fatal("Set after Reset failed")
 	}
 	o := NewBitmap(200)
 	o.Set(7)
@@ -227,7 +234,7 @@ func TestMSBFSMatchesSerial(t *testing.T) {
 		for i := range dists {
 			dists[i] = make([]int32, g.NumV)
 		}
-		st := MSBFS(g, sources, dists)
+		st := MSBFSOpts(parallel.Live(), g, sources, dists, nil, MSOptions{})
 		want := make([]int32, g.NumV)
 		for i, src := range sources {
 			Serial(g, src, want)
@@ -253,7 +260,7 @@ func TestMSBFS64Sources(t *testing.T) {
 	for i := range dists {
 		dists[i] = make([]int32, g.NumV)
 	}
-	MSBFS(g, sources, dists)
+	MSBFSOpts(parallel.Live(), g, sources, dists, nil, MSOptions{})
 	want := make([]int32, g.NumV)
 	for _, i := range []int{0, 31, 63} {
 		Serial(g, sources[i], want)
@@ -269,7 +276,7 @@ func TestMSBFSDuplicateSources(t *testing.T) {
 	g := gen.Grid2D(10, 10)
 	sources := []int32{5, 5}
 	dists := [][]int32{make([]int32, g.NumV), make([]int32, g.NumV)}
-	MSBFS(g, sources, dists)
+	MSBFSOpts(parallel.Live(), g, sources, dists, nil, MSOptions{})
 	for v := 0; v < g.NumV; v++ {
 		if dists[0][v] != dists[1][v] {
 			t.Fatalf("duplicate sources disagree at %d", v)
@@ -285,7 +292,7 @@ func TestMSBFSPanicsOnMisuse(t *testing.T) {
 				t.Error("65 sources accepted")
 			}
 		}()
-		MSBFS(g, make([]int32, 65), make([][]int32, 65))
+		MSBFSOpts(parallel.Live(), g, make([]int32, 65), make([][]int32, 65), nil, MSOptions{})
 	}()
 	func() {
 		defer func() {
@@ -293,7 +300,7 @@ func TestMSBFSPanicsOnMisuse(t *testing.T) {
 				t.Error("short dists accepted")
 			}
 		}()
-		MSBFS(g, []int32{0, 1}, [][]int32{make([]int32, 4)})
+		MSBFSOpts(parallel.Live(), g, []int32{0, 1}, [][]int32{make([]int32, 4)}, nil, MSOptions{})
 	}()
 }
 
@@ -304,7 +311,7 @@ func TestMSBFSDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	dists := [][]int32{make([]int32, 4)}
-	MSBFS(g, []int32{0}, dists)
+	MSBFSOpts(parallel.Live(), g, []int32{0}, dists, nil, MSOptions{})
 	if dists[0][2] != Unreached || dists[0][3] != Unreached {
 		t.Fatalf("unreachable not marked: %v", dists[0])
 	}

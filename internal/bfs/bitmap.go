@@ -41,11 +41,6 @@ func (b *Bitmap) Set(i int32) {
 	}
 }
 
-// SetSerial sets bit i without atomics; callers must own the bitmap.
-func (b *Bitmap) SetSerial(i int32) {
-	b.words[i>>6] |= uint64(1) << (uint(i) & 63)
-}
-
 // Get reports bit i.
 func (b *Bitmap) Get(i int32) bool {
 	return b.words[i>>6]&(uint64(1)<<(uint(i)&63)) != 0

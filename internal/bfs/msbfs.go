@@ -35,10 +35,6 @@ func msBlocks(n int) int {
 type MSOptions struct {
 	Alpha int64 // top-down → bottom-up switch threshold (0 = DefaultAlpha)
 	Beta  int64 // bottom-up → top-down switch threshold (0 = DefaultBeta)
-	// ForceTopDown keeps the traversal on the retained top-down-only
-	// path — the pre-direction-optimizing engine, kept verbatim as the
-	// ablation baseline and the equivalence oracle of the fuzz suite.
-	ForceTopDown bool
 }
 
 // MS converts single-source traversal options into the equivalent
@@ -46,7 +42,7 @@ type MSOptions struct {
 // core.Options.BFS) configures the single- and multi-source engines
 // identically.
 func (o Options) MS() MSOptions {
-	return MSOptions{Alpha: o.Alpha, Beta: o.Beta, ForceTopDown: o.ForceTopDown}
+	return MSOptions{Alpha: o.Alpha, Beta: o.Beta}
 }
 
 // withDefaults normalizes zero values to the shared GAP-style defaults.
@@ -60,44 +56,23 @@ func (o MSOptions) withDefaults() MSOptions {
 	return o
 }
 
-// MSBFS runs up to 64 breadth-first searches simultaneously using
+// MSBFSOpts runs up to 64 breadth-first searches simultaneously using
 // bit-parallel frontiers (the multi-source BFS of Then et al.): each
 // vertex carries a 64-bit mask of the searches that have reached it, so
 // one pass over an adjacency list advances every search at once. This is
 // the natural engine for the random-pivots strategy (§4.4, Table 6) when
 // the number of pivots exceeds the core count: the s distance vectors are
 // produced in ⌈s/64⌉ passes whose memory traffic is shared across
-// sources.
+// sources. The engine is direction-optimizing (Beamer α/β, see
+// msbfsDirOpt) and cache-tiled.
 //
 // dists must have one row (length NumV) per source. Unreached vertices
-// keep Unreached.
-func MSBFS(g *graph.CSR, sources []int32, dists [][]int32) Stats {
-	return MSBFSScratch(g, sources, dists, nil)
-}
-
-// MSBFSScratch is MSBFS running over sc's pooled mask buffers (nil
-// allocates fresh ones, equivalent to MSBFS). With a scratch the
-// traversal performs no O(n)-sized allocations, and on one worker the
-// whole call is allocation-free: every level loop has a plain serial
-// body, so no closure ever escapes.
-func MSBFSScratch(g *graph.CSR, sources []int32, dists [][]int32, sc *Scratch) Stats {
-	return MSBFSBudget(parallel.Live(), g, sources, dists, sc)
-}
-
-// MSBFSBudget is MSBFSScratch under an explicit worker budget and the
-// default direction-optimizing options. Claims always store the same
-// level regardless of direction or of which worker wins, so the distance
-// rows are bitwise identical for every budget and either direction.
-func MSBFSBudget(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, sc *Scratch) Stats {
-	return MSBFSOpts(bud, g, sources, dists, sc, MSOptions{})
-}
-
-// MSBFSOpts is the fully-configurable multi-source traversal: a
-// direction-optimizing (Beamer α/β), cache-tiled engine by default, or
-// the retained top-down-only path under opt.ForceTopDown. Both produce
-// bitwise-identical distance rows — a vertex's level does not depend on
-// the direction it was discovered in — so ForceTopDown changes timing
-// and Stats only.
+// keep Unreached. The traversal runs over sc's pooled mask buffers (nil
+// allocates fresh ones); with a scratch it performs no O(n)-sized
+// allocations, and on one worker the whole call is allocation-free.
+// Claims always store the same level regardless of direction or of which
+// worker wins, so the distance rows are bitwise identical for every
+// budget and every α/β setting; only Stats and timing change.
 func MSBFSOpts(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, sc *Scratch, opt MSOptions) Stats {
 	if len(sources) > 64 {
 		panic("bfs: MSBFS supports at most 64 sources per batch")
@@ -105,11 +80,7 @@ func MSBFSOpts(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int
 	if len(dists) < len(sources) {
 		panic("bfs: MSBFS needs one distance row per source")
 	}
-	opt = opt.withDefaults()
-	if opt.ForceTopDown {
-		return msbfsTopDown(bud, g, sources, dists, sc)
-	}
-	return msbfsDirOpt(bud, g, sources, dists, sc, opt)
+	return msbfsDirOpt(bud, g, sources, dists, sc, opt.withDefaults())
 }
 
 // msbfsDirOpt is the direction-optimizing, cache-tiled engine. Per level
@@ -128,8 +99,8 @@ func MSBFSOpts(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int
 //     frontier's words so the buffer is ready to be the next level's
 //     next. Both halves consult the per-block summary bitmaps, so
 //     sparse levels touch only blocks that actually hold frontier bits
-//     instead of striding all n — the separate full-length clear pass
-//     of the retained path is gone entirely.
+//     instead of striding all n — no separate full-length clear pass
+//     is needed.
 func msbfsDirOpt(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, sc *Scratch, opt MSOptions) Stats {
 	n := g.NumV
 	serial := bud.Serial(n)
@@ -461,135 +432,6 @@ func msbfsDirOpt(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]i
 	if st.Levels < 0 {
 		st.Levels = 0
 	}
-	return st
-}
-
-// msbfsTopDown is the retained top-down-only engine (the pre-PR-10
-// MSBFS, kept verbatim): one full-length sweep of the frontier slab per
-// level plus a separate full-length next-clear. It is the ForceTopDown
-// ablation and the bitwise-equivalence oracle the direction-optimizing
-// engine is fuzzed against.
-func msbfsTopDown(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, sc *Scratch) Stats {
-	n := g.NumV
-	serial := bud.Serial(n)
-	for s := range sources {
-		d := dists[s]
-		if serial {
-			for i := range d {
-				d[i] = Unreached
-			}
-		} else {
-			bud.For(n, func(i int) { d[i] = Unreached })
-		}
-	}
-	var seen, frontier, next []uint64
-	if sc != nil {
-		sc.ensureMS(n)
-		seen, frontier, next = sc.msSeen, sc.msFront, sc.msNext
-		if serial {
-			for i := 0; i < n; i++ {
-				seen[i], frontier[i], next[i] = 0, 0, 0
-			}
-		} else {
-			bud.For(n, func(i int) { seen[i], frontier[i], next[i] = 0, 0, 0 })
-		}
-	} else {
-		seen = make([]uint64, n)     // searches that have reached each vertex
-		frontier = make([]uint64, n) // searches whose current level includes the vertex
-		next = make([]uint64, n)
-	}
-
-	for s, src := range sources {
-		bit := uint64(1) << uint(s)
-		seen[src] |= bit
-		frontier[src] |= bit
-		dists[s][src] = 0
-	}
-
-	var st Stats
-	level := int32(0)
-	active := true
-	// The parallel level body is hoisted out of the loop (reading its
-	// level state through captured variables) so the per-level closure is
-	// constructed once per traversal, not once per level.
-	var scanned, any int64
-	step := func(lo, hi int) {
-		var localScan int64
-		var localAny int64
-		for v := lo; v < hi; v++ {
-			f := frontier[v]
-			if f == 0 {
-				continue
-			}
-			adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-			localScan += int64(len(adj))
-			for _, u := range adj {
-				// Searches in f that have not yet reached u.
-				for {
-					old := atomic.LoadUint64(&seen[u])
-					newBits := f &^ old
-					if newBits == 0 {
-						break
-					}
-					if atomic.CompareAndSwapUint64(&seen[u], old, old|newBits) {
-						// Claimed newBits for u: record distances and
-						// queue u for those searches.
-						for b := newBits; b != 0; b &= b - 1 {
-							dists[bits.TrailingZeros64(b)][u] = level
-						}
-						atomicOr(&next[u], newBits)
-						localAny = 1
-						break
-					}
-				}
-			}
-		}
-		atomic.AddInt64(&scanned, localScan)
-		atomic.AddInt64(&any, localAny)
-	}
-	clearNext := func(i int) { next[i] = 0 }
-	for active {
-		st.Levels++
-		level++
-		scanned, any = 0, 0
-		if serial {
-			// Plain single-worker sweep: no atomics, no closures.
-			for v := 0; v < n; v++ {
-				f := frontier[v]
-				if f == 0 {
-					continue
-				}
-				adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-				scanned += int64(len(adj))
-				for _, u := range adj {
-					newBits := f &^ seen[u]
-					if newBits == 0 {
-						continue
-					}
-					seen[u] |= newBits
-					for b := newBits; b != 0; b &= b - 1 {
-						dists[bits.TrailingZeros64(b)][u] = level
-					}
-					next[u] |= newBits
-					any = 1
-				}
-			}
-		} else {
-			bud.ForBlock(n, step)
-		}
-		st.ScannedEdges += scanned
-		st.TopDownSteps++
-		frontier, next = next, frontier
-		if serial {
-			for i := range next {
-				next[i] = 0
-			}
-		} else {
-			bud.For(n, clearNext)
-		}
-		active = any != 0
-	}
-	st.Levels-- // last round discovered nothing
 	return st
 }
 

@@ -25,6 +25,13 @@ func msRun(g *graph.CSR, sources []int32, bud parallel.Budget, opt MSOptions) ([
 	return rows, st
 }
 
+// msRunTopDown is msRun through the top-down oracle.
+func msRunTopDown(g *graph.CSR, sources []int32, bud parallel.Budget) ([][]int32, Stats) {
+	rows := msRows(len(sources), g.NumV)
+	st := msbfsTopDown(bud, g, sources, rows, NewScratch(g.NumV, bud.Workers()))
+	return rows, st
+}
+
 // assertRowsEqual fails unless every distance row is bitwise identical.
 func assertRowsEqual(t *testing.T, label string, want, got [][]int32) {
 	t.Helper()
@@ -83,17 +90,17 @@ func TestMSBFSDirOptAdversarial(t *testing.T) {
 				sources[i] = int32((i * 257) % tc.g.NumV)
 			}
 		}
-		want, wantSt := msRun(tc.g, sources, parallel.FixedBudget(1), MSOptions{ForceTopDown: true})
+		want, wantSt := msRunTopDown(tc.g, sources, parallel.FixedBudget(1))
 		if wantSt.BottomUpSteps != 0 {
-			t.Fatalf("%s: ForceTopDown ran %d bottom-up steps", tc.name, wantSt.BottomUpSteps)
+			t.Fatalf("%s: top-down oracle ran %d bottom-up steps", tc.name, wantSt.BottomUpSteps)
 		}
 		for _, bud := range msbfsBudgets() {
 			got, _ := msRun(tc.g, sources, bud, MSOptions{})
 			assertRowsEqual(t, tc.name+"/diropt", want, got)
-			gotTD, st := msRun(tc.g, sources, bud, MSOptions{ForceTopDown: true})
+			gotTD, st := msRunTopDown(tc.g, sources, bud)
 			assertRowsEqual(t, tc.name+"/topdown", want, gotTD)
 			if st.BottomUpSteps != 0 {
-				t.Fatalf("%s: ForceTopDown under budget ran bottom-up", tc.name)
+				t.Fatalf("%s: top-down oracle under budget ran bottom-up", tc.name)
 			}
 		}
 	}
@@ -101,7 +108,7 @@ func TestMSBFSDirOptAdversarial(t *testing.T) {
 
 // TestMSBFSDirOptSwitchesOnKron asserts the engine actually takes the
 // bottom-up direction on a skewed low-diameter graph and that doing so
-// scans fewer edges than the retained top-down path (the γ < 1 work
+// scans fewer edges than the top-down oracle (the γ < 1 work
 // reduction the direction switch exists for).
 func TestMSBFSDirOptSwitchesOnKron(t *testing.T) {
 	g := gen.Kron(12, 12, 3)
@@ -110,7 +117,7 @@ func TestMSBFSDirOptSwitchesOnKron(t *testing.T) {
 		sources[i] = int32((i * 997) % g.NumV)
 	}
 	_, opt := msRun(g, sources, parallel.FixedBudget(1), MSOptions{})
-	_, td := msRun(g, sources, parallel.FixedBudget(1), MSOptions{ForceTopDown: true})
+	_, td := msRunTopDown(g, sources, parallel.FixedBudget(1))
 	if opt.BottomUpSteps == 0 {
 		t.Fatalf("no bottom-up steps on kron: %+v", opt)
 	}
@@ -164,8 +171,8 @@ func TestMSBFSScratchShrinkReuse(t *testing.T) {
 // must carry the single-source α/β straight across, and the zero MSOptions
 // must normalize to the shared defaults.
 func TestMSBFSOptsSharesRunnerDefaults(t *testing.T) {
-	ms := Options{Alpha: 7, Beta: 9, ForceTopDown: true}.MS()
-	if ms.Alpha != 7 || ms.Beta != 9 || !ms.ForceTopDown {
+	ms := Options{Alpha: 7, Beta: 9}.MS()
+	if ms.Alpha != 7 || ms.Beta != 9 {
 		t.Fatalf("Options.MS dropped fields: %+v", ms)
 	}
 	def := MSOptions{}.withDefaults()
@@ -176,7 +183,7 @@ func TestMSBFSOptsSharesRunnerDefaults(t *testing.T) {
 
 // FuzzMSBFSDirOptEquivalence fuzzes graph family × source count × budget
 // and asserts the direction-optimizing engine's distance rows are bitwise
-// identical to the retained top-down path — the PR's central invariant —
+// identical to the top-down oracle — the PR's central invariant —
 // and identical across every worker budget.
 func FuzzMSBFSDirOptEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(0))
@@ -214,7 +221,7 @@ func FuzzMSBFSDirOptEquivalence(f *testing.F) {
 		for i := range sources {
 			sources[i] = int32(r.Intn(g.NumV))
 		}
-		want, _ := msRun(g, sources, parallel.FixedBudget(1), MSOptions{ForceTopDown: true})
+		want, _ := msRunTopDown(g, sources, parallel.FixedBudget(1))
 		budgets := []parallel.Budget{
 			parallel.FixedBudget(1),
 			parallel.FixedBudget(1 + int(workers)%8),
@@ -223,7 +230,7 @@ func FuzzMSBFSDirOptEquivalence(f *testing.F) {
 		for _, bud := range budgets {
 			got, _ := msRun(g, sources, bud, MSOptions{})
 			assertRowsEqual(t, "diropt", want, got)
-			gotTD, _ := msRun(g, sources, bud, MSOptions{ForceTopDown: true})
+			gotTD, _ := msRunTopDown(g, sources, bud)
 			assertRowsEqual(t, "topdown", want, gotTD)
 		}
 	})

@@ -12,7 +12,7 @@ type Scratch struct {
 	queue []int32
 	nextQ [][]int32
 	// Multi-source traversal state: per-vertex 64-bit search masks. Only
-	// allocated once an MSBFSScratch call arrives (the single-source
+	// allocated once an MSBFSOpts call arrives (the single-source
 	// runner never touches them).
 	msSeen  []uint64
 	msFront []uint64

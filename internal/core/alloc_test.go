@@ -25,24 +25,28 @@ func propertyGraphs() map[string]*graph.CSR {
 	}
 }
 
-// TestWorkspaceReuseBitIdentical is the tentpole's correctness property:
-// a run through a dirtied, reused workspace must be bit-identical to a
-// fresh-allocation run — same coordinates, same pivots, same kept
-// columns — across graph families, subspace widths, and every pipeline
-// configuration that consumes workspace buffers.
+// TestWorkspaceReuseBitIdentical is the workspace's correctness
+// property: a run through a dirtied, reused workspace must be
+// bit-identical to a fresh-allocation run — same coordinates, same
+// pivots, same kept columns — across graph families, subspace widths,
+// and every pipeline configuration that consumes workspace buffers. The
+// tiled and columnwise variants also hold the workspace run's
+// coordinates to the layout recomputed with the two-pass tiled and the
+// column-wise L·S oracles.
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	variants := []struct {
 		name string
 		opt  Options
+		ls   lsOracle // when set, the coordinates must also equal this oracle's layout
 	}{
-		{"decoupled-mgs", Options{}},
-		{"coupled", Options{Coupled: true}},
-		{"cgs", Options{Ortho: ortho.CGS}},
-		{"plain-ortho", Options{PlainOrtho: true}},
-		{"tiled", Options{LS: LSTiled}},
-		{"columnwise", Options{LS: LSColumnWise}},
-		{"random-pivots", Options{Pivots: pivot.Random}},
-		{"random-ms-pivots", Options{Pivots: pivot.RandomMS}},
+		{"decoupled-mgs", Options{}, nil},
+		{"coupled", Options{Coupled: true}, nil},
+		{"cgs", Options{Ortho: ortho.CGS}, nil},
+		{"plain-ortho", Options{PlainOrtho: true}, nil},
+		{"tiled", Options{}, lsTwoPass},
+		{"columnwise", Options{}, lsColumnwise},
+		{"random-pivots", Options{Pivots: pivot.Random}, nil},
+		{"random-ms-pivots", Options{Pivots: pivot.RandomMS}, nil},
 	}
 	ws := workspace.New()
 	for _, s := range []int{4, 10, 24} {
@@ -83,6 +87,9 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 					if grep.KeptColumns != frep.KeptColumns || grep.DroppedColumns != frep.DroppedColumns {
 						t.Fatalf("kept/dropped %d/%d, fresh %d/%d",
 							grep.KeptColumns, grep.DroppedColumns, frep.KeptColumns, frep.DroppedColumns)
+					}
+					if v.ls != nil {
+						assertCoordsEqual(t, "workspace run vs oracle", got, oracleLayout(t, g, opt, v.ls))
 					}
 				})
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -423,23 +424,23 @@ func TestDistanceCorrelation(t *testing.T) {
 	}
 }
 
+// TestLSKernelVariantsAgree: without a workspace, at subspace widths on
+// both sides of s = 8, on unweighted and weighted graphs, ParHDE's
+// coordinates equal bit for bit the layout recomputed with the
+// column-wise L·S oracle.
 func TestLSKernelVariantsAgree(t *testing.T) {
-	g := gen.PlateWithHoles(25, 25)
-	a, _, err := ParHDE(g, Options{Subspace: 20, Seed: 5, LS: LSColumnWise})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := ParHDE(g, Options{Subspace: 20, Seed: 5, LS: LSTiled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Coords.Data {
-		if math.Abs(a.Coords.Data[i]-b.Coords.Data[i]) > 1e-9 {
-			t.Fatalf("LS kernels diverge at %d: %g vs %g", i, a.Coords.Data[i], b.Coords.Data[i])
+	for name, g := range map[string]*graph.CSR{
+		"plate":          gen.PlateWithHoles(25, 25),
+		"weighted-plate": gen.WithRandomWeights(gen.PlateWithHoles(20, 20), 9, 4),
+	} {
+		for _, s := range []int{3, 5, 7, 20} {
+			opt := Options{Subspace: s, Seed: 5}
+			got, _, err := ParHDE(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertCoordsEqual(t, fmt.Sprintf("%s s=%d", name, s), got, oracleLayout(t, g, opt, lsColumnwise))
 		}
-	}
-	if LSAuto.String() != "auto" || LSTiled.String() != "tiled" || LSColumnWise.String() != "columnwise" {
-		t.Fatal("kernel names")
 	}
 }
 

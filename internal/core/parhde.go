@@ -221,11 +221,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 				if ws != nil {
 					osc = ws.Ortho
 				}
-				method := opt.Ortho
-				if opt.NoPack && method == ortho.MGS {
-					method = ortho.MGSUnpacked
-				}
-				res := ortho.DOrthogonalizeBudget(bud, b, d, method, osc)
+				res := ortho.DOrthogonalizeBudget(bud, b, d, opt.Ortho, osc)
 				rep.KeptColumns = len(res.Kept)
 				rep.DroppedColumns = res.Dropped
 				layoutCols := opt.Dims
@@ -250,40 +246,20 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 			return
 		}
 		NotifyPhase(ctx, "tripleprod")
-		var p *linalg.Dense
+		var p, z *linalg.Dense
+		var pOut, zOut *linalg.Dense
+		var srm, partials []float64
+		var arena *linalg.PackArena
+		if ws != nil {
+			pOut = linalg.ViewDense(ws.P, n, sMat.Cols)
+			zOut = linalg.ViewDense(ws.Z, sMat.Cols, sMat.Cols)
+			srm, partials, arena = ws.SRM, ws.GemmPartials, ws.Pack
+		}
 		tr.timed("ls", &bd.LS, func() {
-			tiled := opt.LS == LSTiled ||
-				(opt.LS == LSAuto && (ws != nil || sMat.Cols >= 8))
-			switch {
-			case tiled && ws != nil && !opt.NoPack:
-				p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat,
-					linalg.ViewDense(ws.P, n, sMat.Cols), ws.SRM, ws.Pack)
-			case tiled && ws != nil:
-				p = linalg.LapMulDenseTiledBudget(bud, g, deg, sMat,
-					linalg.ViewDense(ws.P, n, sMat.Cols), ws.SRM, ws.PRM)
-			case tiled && !opt.NoPack:
-				p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat, nil, nil, nil)
-			case tiled:
-				p = linalg.LapMulDenseTiledBudget(bud, g, deg, sMat, nil, nil, nil)
-			default:
-				p = linalg.LapMulDenseBudget(bud, g, deg, sMat)
-			}
+			p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat, pOut, srm, arena)
 		})
-		var z *linalg.Dense
 		tr.timed("gemm", &bd.Gemm, func() {
-			var zOut *linalg.Dense
-			var partials []float64
-			var arena *linalg.PackArena
-			if ws != nil {
-				zOut = linalg.ViewDense(ws.Z, sMat.Cols, sMat.Cols)
-				partials = ws.GemmPartials
-				arena = ws.Pack
-			}
-			if opt.NoPack {
-				z = linalg.AtBBudget(bud, sMat, p, zOut, partials)
-			} else {
-				z = linalg.AtBPackedBudget(bud, sMat, p, zOut, partials, arena)
-			}
+			z = linalg.AtBBudget(bud, sMat, p, zOut, partials)
 		})
 
 		// --- Eigensolve ---------------------------------------------------
@@ -305,12 +281,11 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		}
 		NotifyPhase(ctx, "project")
 		tr.timed("project", &bd.Project, func() {
+			var cOut *linalg.Dense
 			if ws != nil {
-				c := linalg.MulSmallBudget(bud, sMat, axes, linalg.ViewDense(ws.Coords, n, axes.Cols))
-				layout = &Layout{Coords: c}
-			} else {
-				layout = &Layout{Coords: linalg.MulSmallBudget(bud, sMat, axes, nil)}
+				cOut = linalg.ViewDense(ws.Coords, n, axes.Cols)
 			}
+			layout = &Layout{Coords: linalg.MulSmallBudget(bud, sMat, axes, cOut)}
 		})
 	})
 	rep.PhaseAllocs = tr.phases
@@ -384,7 +359,7 @@ func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int,
 		runner = bfs.NewRunnerBudget(g, opt.BFS, ws.Pivot.BFS, bud)
 		dist, dmin = ws.Pivot.Dist, ws.Pivot.DMin
 		col = ws.Col
-		inc = ortho.NewIncrementalBudget(bud, n, deg, ws.Ortho)
+		inc = ortho.NewIncrementalBudget(bud, n, s, deg, ws.Ortho)
 		ws.Pivot.Ensure(n)
 		amIdx, amVals = ws.Pivot.ArgmaxArenas()
 	} else {
@@ -392,7 +367,7 @@ func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int,
 		dist = make([]int32, n)
 		dmin = make([]int32, n)
 		col = make([]float64, n)
-		inc = ortho.NewIncrementalBudget(bud, n, deg, nil)
+		inc = ortho.NewIncrementalBudget(bud, n, s, deg, nil)
 	}
 	parallelFillInt32(bud, dmin, int32(1)<<30)
 

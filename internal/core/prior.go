@@ -7,6 +7,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 )
 
 // Prior reimplements the prior parallel HDE of Kirmani and Madduri
@@ -92,7 +93,7 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 		var p *linalg.Dense
 		timed(&bd.LS, func() { p = lap.MulDense(sMat) })
 		var z *linalg.Dense
-		timed(&bd.Gemm, func() { z = linalg.AtB(sMat, p) })
+		timed(&bd.Gemm, func() { z = linalg.AtBBudget(parallel.Live(), sMat, p, nil, nil) })
 
 		// --- Eigensolve and projection --------------------------------------
 		var axes *linalg.Dense
@@ -103,7 +104,7 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 			return
 		}
 		timed(&bd.Project, func() {
-			layout = &Layout{Coords: linalg.MulSmall(sMat, axes)}
+			layout = &Layout{Coords: linalg.MulSmallBudget(parallel.Live(), sMat, axes, nil)}
 		})
 	})
 	if err != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/ortho"
 	"repro/internal/workspace"
 )
 
@@ -22,7 +24,7 @@ func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 	}{
 		{"decoupled", Options{Subspace: 8, Seed: 11}},
 		{"coupled", Options{Subspace: 8, Seed: 11, Coupled: true}},
-		{"decoupled-nopack", Options{Subspace: 8, Seed: 11, NoPack: true}},
+		{"decoupled-cgs", Options{Subspace: 8, Seed: 11, Ortho: ortho.CGS}},
 	}
 	g := gen.Kron(13, 8, 3) // n=8192: spans two reduction tiles, admits 4-way block fan-out
 	ws := workspace.New()   // shared across budgets: arenas must be budget-independent
@@ -60,45 +62,32 @@ func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 	}
 }
 
-// TestParHDEPackedMatchesUnpacked: the packed default and the NoPack
-// ablation produce bitwise identical coordinates from one shared
-// workspace — the packed kernels change timing only. Alternating the two
-// paths over the same workspace is the case where a stale packed arena
-// or misrouted scratch buffer would leak one run's state into the next.
+// TestParHDEPackedMatchesUnpacked: production runs at 4 workers through
+// one shared workspace equal bit for bit the layouts recomputed with the
+// unpacked oracles — the column-wise and two-pass tiled L·S. The runs
+// alternate subspace widths over the same workspace, the case where a
+// stale packed arena or misrouted scratch buffer would leak one run's
+// state into the next.
 func TestParHDEPackedMatchesUnpacked(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	g := gen.Kron(13, 8, 3)
 	ws := workspace.New()
-	opt := Options{Subspace: 8, Seed: 11, Workers: 4, Workspace: ws}
-	ref, _, err := ParHDE(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCoords := append([]float64(nil), ref.Coords.Data...) // ref aliases ws
-	for _, c := range []struct {
-		name   string
-		noPack bool
+	for i, c := range []struct {
+		s  int
+		ls lsOracle
 	}{
-		{"unpacked", true},
-		{"packed-again", false},
-		{"unpacked-again", true},
+		{8, lsColumnwise},
+		{5, lsTwoPass},
+		{8, lsTwoPass},
+		{5, lsColumnwise},
 	} {
-		o := opt
-		o.NoPack = c.noPack
-		lay, _, err := ParHDE(g, o)
+		opt := Options{Subspace: c.s, Seed: 11, Workers: 4, Workspace: ws}
+		lay, _, err := ParHDE(g, opt)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("run %d: %v", i, err)
 		}
-		if len(lay.Coords.Data) != len(refCoords) {
-			t.Fatalf("%s: coordinate count diverged", c.name)
-		}
-		for k := range refCoords {
-			if lay.Coords.Data[k] != refCoords[k] {
-				t.Fatalf("%s: Coords[%d] = %v, want %v (bitwise)",
-					c.name, k, lay.Coords.Data[k], refCoords[k])
-			}
-		}
+		assertCoordsEqual(t, fmt.Sprintf("run %d s=%d", i, c.s), lay, oracleLayout(t, g, opt, c.ls))
 	}
 }
 

@@ -236,7 +236,7 @@ func AlphaBetaExperiment(w io.Writer, cfg Config) error {
 		{1, 18}, {15, 18}, {64, 18}, {15, 2}, {15, 64}, {1 << 30, 18 /* effectively top-down */},
 	}
 	for _, c := range configs {
-		runner := bfs.NewRunner(g, bfs.Options{Alpha: c.a, Beta: c.b})
+		runner := bfs.NewRunnerBudget(g, bfs.Options{Alpha: c.a, Beta: c.b}, nil, parallel.Live())
 		var st bfs.Stats
 		t := minTime(cfg.Reps, func() { st = runner.Distances(0, dist) })
 		fprintf(w, "%8d %8d %12.4f %16d %10d\n", c.a, c.b, seconds(t), st.ScannedEdges, st.BottomUpSteps)
@@ -414,7 +414,7 @@ func ReorderExperiment(w io.Writer, cfg Config) error {
 		for i := range s.Data {
 			s.Data[i] = float64(i % 13)
 		}
-		return seconds(minTime(cfg.Reps, func() { linalg.LapMulDense(g, deg, s) }))
+		return seconds(minTime(cfg.Reps, func() { linalg.LapMulDenseTiledPackedBudget(parallel.Live(), g, deg, s, nil, nil, nil) }))
 	}
 	show := func(name string, g *graph.CSR) {
 		fprintf(w, "%-24s %12.0f %12d %12.4f\n",

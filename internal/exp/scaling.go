@@ -32,15 +32,8 @@ type ScalingEntry struct {
 	PhaseSpeedup map[string]float64 `json:"phaseSpeedup"`
 	// Checksum is the SHA-256 of the output coordinates' raw bits. All
 	// entries of one graph must agree — the layout is bitwise
-	// deterministic across worker budgets by construction, and the
-	// unpacked ablation run of each point must reproduce it too.
+	// deterministic across worker budgets by construction.
 	Checksum string `json:"checksum"`
-	// UnpackedSeconds is the same point laid out with core.Options.NoPack
-	// (flat-arena MGS, two-pass TripleProd, streaming AᵀB), and
-	// PackedSpeedup = UnpackedSeconds/Seconds — the before/after of the
-	// cache-resident packed kernels at this worker count.
-	UnpackedSeconds float64 `json:"unpackedSeconds"`
-	PackedSpeedup   float64 `json:"packedSpeedup"`
 	// BFS direction split of the fastest run: how many levels the
 	// traversal phase ran top-down vs bottom-up, and the adjacency
 	// entries it actually examined — the per-point record of the
@@ -132,26 +125,11 @@ func Scaling(cfg Config) (*ScalingReport, error) {
 				Workspace:             ws,
 				SkipConnectivityCheck: true,
 			}
-			var entry, flat ScalingEntry
+			var entry ScalingEntry
 			var err error
-			withThreads(p, func() {
-				entry, err = scalePoint(ng, opt, cfg.Reps)
-				if err == nil {
-					// The unpacked ablation shares the workspace and worker
-					// count, so the delta is the packed kernels alone.
-					optFlat := opt
-					optFlat.NoPack = true
-					flat, err = scalePoint(ng, optFlat, cfg.Reps)
-				}
-			})
+			withThreads(p, func() { entry, err = scalePoint(ng, opt, cfg.Reps) })
 			if err != nil {
 				return nil, fmt.Errorf("scaling: %s at %d workers: %w", ng.Name, p, err)
-			}
-			entry.UnpackedSeconds = flat.Seconds
-			entry.PackedSpeedup = safeDiv(flat.Seconds, entry.Seconds)
-			if flat.Checksum != entry.Checksum {
-				sg.Deterministic = false
-				rep.Deterministic = false
 			}
 			if base == nil {
 				b := entry
@@ -238,13 +216,13 @@ func ScalingExperiment(w io.Writer, cfg Config) error {
 	}
 	fprintf(w, "Scaling: worker sweep %v (NumCPU=%d), fastest of %d reps\n",
 		threadSweep(cfg.withDefaults().MaxThreads), rep.NumCPU, rep.Reps)
-	fprintf(w, "%-10s %7s %10s %8s %6s %8s %8s %8s %8s  %s\n",
-		"graph", "workers", "seconds", "speedup", "eff", "packed", "bfs", "gemm", "dortho", "deterministic")
+	fprintf(w, "%-10s %7s %10s %8s %6s %8s %8s %8s  %s\n",
+		"graph", "workers", "seconds", "speedup", "eff", "bfs", "gemm", "dortho", "deterministic")
 	for _, sg := range rep.Graphs {
 		for _, e := range sg.Entries {
-			fprintf(w, "%-10s %7d %10.4f %7.2fx %5.2f %7.2fx %7.2fx %7.2fx %7.2fx  %v\n",
+			fprintf(w, "%-10s %7d %10.4f %7.2fx %5.2f %7.2fx %7.2fx %7.2fx  %v\n",
 				sg.Graph, e.Workers, e.Seconds, e.Speedup, e.Efficiency,
-				e.PackedSpeedup, e.PhaseSpeedup["bfs_traversal"],
+				e.PhaseSpeedup["bfs_traversal"],
 				e.PhaseSpeedup["gemm"], e.PhaseSpeedup["dortho"], sg.Deterministic)
 		}
 	}

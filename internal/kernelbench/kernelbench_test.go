@@ -1,336 +1,27 @@
 //go:build perf
 
-// Package kernelbench is the perf-tagged kernel-regression harness: it
-// benchmarks the blocked/fused kernels against their naive references and
-// gates CI on the speedup ratios recorded in perf/kernel_budget.json.
-// Ratios (blocked time vs reference time on the same machine, same run)
-// are machine-portable in a way absolute ns/op numbers are not, so the
-// gate travels between laptops and CI runners without re-baselining.
-// Build-tagged `perf` to keep the tier-1 `go test ./...` fast and
-// non-flaky; CI runs it as a dedicated gate step:
-//
-//	go test -tags perf -count=1 -v ./internal/kernelbench/
 package kernelbench
 
 import (
-	"encoding/json"
-	"math/rand"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
-	"repro/internal/bfs"
+	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/linalg"
-	"repro/internal/ortho"
-	"repro/internal/parallel"
 )
 
-// kernelBudget mirrors perf/kernel_budget.json.
-type kernelBudget struct {
-	Comment string  `json:"comment"`
-	Margin  float64 `json:"margin"`
-	Kernels map[string]struct {
-		BaselineSpeedup float64 `json:"baseline_speedup"`
-	} `json:"kernels"`
-}
-
-func loadBudget(t *testing.T) kernelBudget {
-	t.Helper()
-	b, err := os.ReadFile("../../perf/kernel_budget.json")
-	if err != nil {
-		t.Fatalf("reading kernel budget: %v", err)
-	}
-	var budget kernelBudget
-	if err := json.Unmarshal(b, &budget); err != nil {
-		t.Fatalf("decoding kernel budget: %v", err)
-	}
-	if budget.Margin <= 0 || budget.Margin >= 1 {
-		t.Fatalf("kernel budget margin %v out of (0,1)", budget.Margin)
-	}
-	return budget
-}
-
-// minTime returns the fastest of reps timings of f — the standard
-// minimum-of-repetitions estimator, robust to scheduling noise.
-func minTime(reps int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		f()
-		if d := time.Since(t0); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func randDense(n, s int, seed int64) *linalg.Dense {
-	r := rand.New(rand.NewSource(seed))
-	m := linalg.NewDense(n, s)
-	for i := range m.Data {
-		m.Data[i] = r.NormFloat64()
-	}
-	return m
-}
-
-// TestKernelBudgetGate measures each optimized kernel against its naive
-// reference and fails when the speedup falls below baseline·margin (a
-// >15% regression at the default margin 0.85). GOMAXPROCS is pinned to 1
-// so the ratio reflects per-core kernel quality, not the parallel
-// scheduler.
-func TestKernelBudgetGate(t *testing.T) {
-	budget := loadBudget(t)
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
-	check := func(name string, speedup float64) {
-		t.Helper()
-		want, ok := budget.Kernels[name]
-		if !ok {
-			t.Fatalf("no kernel budget entry for %q", name)
-		}
-		floor := want.BaselineSpeedup * budget.Margin
-		t.Logf("%s: speedup %.2fx (baseline %.2fx, floor %.2fx)", name, speedup, want.BaselineSpeedup, floor)
-		if speedup < floor {
-			t.Errorf("%s: speedup %.2fx below floor %.2fx — if the regression is intentional, lower perf/kernel_budget.json", name, speedup, floor)
-		}
-	}
-
-	const reps = 5
-
-	// Blocked 4×2 AtB vs the unblocked reference (TripleProd's Z = SᵀP).
-	{
-		n, s := 1<<16, 48
-		a, b := randDense(n, s, 1), randDense(n, s, 2)
-		c := linalg.NewDense(s, s)
-		tBlocked := minTime(reps, func() { linalg.AtBInto(a, b, c, nil) })
-		tNaive := minTime(reps, func() { linalg.AtBNaiveInto(a, b, c, nil) })
-		check("atb_blocked_vs_naive", float64(tNaive)/float64(tBlocked))
-	}
-
-	// Panel-blocked Gram-Schmidt vs the unblocked Level-1 sweep (DOrtho).
-	{
-		n, s := 1<<17, 48
-		b := randDense(n, s, 3)
-		d := make([]float64, n)
-		r := rand.New(rand.NewSource(4))
-		for i := range d {
-			d[i] = 1 + float64(r.Intn(20))
-		}
-		sc := ortho.NewScratch(n, s)
-		tPanel := minTime(reps, func() { ortho.DOrthogonalizeScratch(b, d, ortho.MGS, sc) })
-		tL1 := minTime(reps, func() { ortho.DOrthogonalizeScratch(b, d, ortho.MGSLevel1, sc) })
-		check("panel_mgs_vs_level1", float64(tL1)/float64(tPanel))
-	}
-
-	// Packed-arena kernels vs their unpacked counterparts at one worker.
-	// Packing is pure overhead here — no parallel bandwidth contention to
-	// relieve — so these ratios sit just below 1.0 and the entries guard
-	// the overhead staying small (the multi-worker win is gated by the
-	// *_packed_{2,4}w entries of TestParallelEfficiencyGate).
-	{
-		n, s := 1<<16, 48
-		a, b := randDense(n, s, 21), randDense(n, s, 22)
-		c := linalg.NewDense(s, s)
-		tPacked := minTime(reps, func() { linalg.AtBPacked(a, b) })
-		tStream := minTime(reps, func() { linalg.AtBInto(a, b, c, nil) })
-		check("atb_packed_vs_streaming", float64(tStream)/float64(tPacked))
-	}
-	{
-		n, s := 1<<17, 48
-		b := randDense(n, s, 23)
-		d := make([]float64, n)
-		r := rand.New(rand.NewSource(24))
-		for i := range d {
-			d[i] = 1 + float64(r.Intn(20))
-		}
-		sc := ortho.NewScratch(n, s)
-		tPacked := minTime(reps, func() { ortho.DOrthogonalizeScratch(cloneDense(b), d, ortho.MGS, sc) })
-		tFlat := minTime(reps, func() { ortho.DOrthogonalizeScratch(cloneDense(b), d, ortho.MGSUnpacked, sc) })
-		check("panel_mgs_packed_vs_flat", float64(tFlat)/float64(tPacked))
-	}
-
-	// Fused widen+min+argmax vs the three-pass sequence (BFS bookkeeping).
-	{
-		n := 1 << 20
-		src := make([]int32, n)
-		dmin := make([]int32, n)
-		dst := make([]float64, n)
-		r := rand.New(rand.NewSource(5))
-		for i := range src {
-			src[i] = int32(r.Intn(1 << 20))
-		}
-		reset := func() {
-			for i := range dmin {
-				dmin[i] = int32(1) << 30
+// TestParallelEfficiencyGate gates whole-layout scaling on the paper's
+// headline graph shape: kron 2^18 at Workers() against 1 worker. The
+// kernel-level gates live with their oracles in linalg, ortho and bfs.
+func TestParallelEfficiencyGate(t *testing.T) {
+	gate := Parallel(t)
+	g := gen.Kron(18, 16, 102)
+	run := func(p int) func() {
+		opt := core.Options{Subspace: 10, Seed: 42, Workers: p, SkipConnectivityCheck: true}
+		return func() {
+			if _, _, err := core.ParHDE(g, opt); err != nil {
+				t.Fatal(err)
 			}
 		}
-		reset()
-		tFused := minTime(reps, func() { linalg.WidenMinArgmax(dst, dmin, src) })
-		reset()
-		tUnfused := minTime(reps, func() {
-			linalg.Int32ToFloat64(dst, src)
-			linalg.MinUpdateInt32(dmin, src)
-			_ = parallelArgmax(dmin)
-		})
-		check("fused_widen_vs_unfused", float64(tUnfused)/float64(tFused))
 	}
-
-	// Direction-optimizing tiled MSBFS vs the retained top-down path on
-	// the paper's headline kron shape, one full 64-source batch. Bottom-up
-	// must win on a skewed low-diameter graph even on one core — the γ < 1
-	// work reduction, not a parallel effect.
-	{
-		g, sources, rows, sc := msbfsFixture(18, 16)
-		bud := parallel.FixedBudget(1)
-		tOpt := minTime(3, func() { bfs.MSBFSOpts(bud, g, sources, rows, sc, bfs.MSOptions{}) })
-		tTD := minTime(3, func() { bfs.MSBFSOpts(bud, g, sources, rows, sc, bfs.MSOptions{ForceTopDown: true}) })
-		check("msbfs_diropt_vs_topdown", float64(tTD)/float64(tOpt))
-	}
-}
-
-// msbfsFixture builds the MSBFS gate/bench inputs: a kron graph, one full
-// 64-source batch, its distance rows, and a warm traversal scratch.
-func msbfsFixture(scale, factor int) (*graph.CSR, []int32, [][]int32, *bfs.Scratch) {
-	g := gen.Kron(scale, factor, 102)
-	sources := make([]int32, 64)
-	for i := range sources {
-		sources[i] = int32((i * 997) % g.NumV)
-	}
-	rows := make([][]int32, 64)
-	arena := make([]int32, 64*g.NumV)
-	for i := range rows {
-		rows[i] = arena[i*g.NumV : (i+1)*g.NumV]
-	}
-	return g, sources, rows, bfs.NewScratch(g.NumV, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkMSBFSDirOpt / BenchmarkMSBFSTopDown are the raw
-// microbenchmarks behind the msbfs_diropt_vs_topdown gate ratio; run with
-// go test -tags perf -bench MSBFS ./internal/kernelbench/.
-func BenchmarkMSBFSDirOpt(b *testing.B) { benchmarkMSBFS(b, bfs.MSOptions{}) }
-
-func BenchmarkMSBFSTopDown(b *testing.B) { benchmarkMSBFS(b, bfs.MSOptions{ForceTopDown: true}) }
-
-func benchmarkMSBFS(b *testing.B, opt bfs.MSOptions) {
-	g, sources, rows, sc := msbfsFixture(18, 16)
-	bud := parallel.FixedBudget(runtime.GOMAXPROCS(0))
-	b.SetBytes(int64(len(g.Adj) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bfs.MSBFSOpts(bud, g, sources, rows, sc, opt)
-	}
-}
-
-// parallelArgmax mirrors the pre-fusion argmax pass (serial here because
-// the gate pins one core; parallel.ArgmaxInt32 takes the same path).
-func parallelArgmax(v []int32) int {
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// BenchmarkAtBBlocked / BenchmarkAtBNaive are the raw microbenchmarks
-// behind the gate's first ratio; run with
-// go test -tags perf -bench AtB ./internal/kernelbench/.
-func BenchmarkAtBBlocked(b *testing.B) {
-	n, s := 1<<16, 48
-	x, y := randDense(n, s, 1), randDense(n, s, 2)
-	c := linalg.NewDense(s, s)
-	b.SetBytes(int64(2 * n * s * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.AtBInto(x, y, c, nil)
-	}
-}
-
-func BenchmarkAtBNaive(b *testing.B) {
-	n, s := 1<<16, 48
-	x, y := randDense(n, s, 1), randDense(n, s, 2)
-	c := linalg.NewDense(s, s)
-	b.SetBytes(int64(2 * n * s * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.AtBNaiveInto(x, y, c, nil)
-	}
-}
-
-// BenchmarkAtBPacked is the cache-resident packed variant: operand
-// chunks are copied into a per-worker arena and the 4×2 kernels run out
-// of it (go test -tags perf -bench AtB ./internal/kernelbench/).
-func BenchmarkAtBPacked(b *testing.B) {
-	n, s := 1<<16, 48
-	x, y := randDense(n, s, 1), randDense(n, s, 2)
-	c := linalg.NewDense(s, s)
-	partials := make([]float64, linalg.ReduceBlocks(n)*s*s)
-	var arena linalg.PackArena
-	b.SetBytes(int64(2 * n * s * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.AtBPackedBudget(parallel.Live(), x, y, c, partials, &arena)
-	}
-}
-
-func benchmarkDOrtho(b *testing.B, method ortho.Method) {
-	n, s := 1<<15, 48
-	m := randDense(n, s, 3)
-	d := make([]float64, n)
-	r := rand.New(rand.NewSource(4))
-	for i := range d {
-		d[i] = 1 + float64(r.Intn(20))
-	}
-	sc := ortho.NewScratch(n, s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ortho.DOrthogonalizeScratch(m, d, method, sc)
-	}
-}
-
-// BenchmarkPanelMGSPacked is the default MGS path (tile-major packed
-// kept-column store); BenchmarkPanelMGSUnpacked is the flat-arena
-// ablation it replaced.
-func BenchmarkPanelMGSPacked(b *testing.B)   { benchmarkDOrtho(b, ortho.MGS) }
-func BenchmarkPanelMGSUnpacked(b *testing.B) { benchmarkDOrtho(b, ortho.MGSUnpacked) }
-func BenchmarkLevel1MGS(b *testing.B)        { benchmarkDOrtho(b, ortho.MGSLevel1) }
-func BenchmarkCGSLevel2(b *testing.B)        { benchmarkDOrtho(b, ortho.CGS) }
-
-func BenchmarkWidenMinArgmaxFused(b *testing.B) {
-	n := 1 << 20
-	src := make([]int32, n)
-	dmin := make([]int32, n)
-	dst := make([]float64, n)
-	r := rand.New(rand.NewSource(5))
-	for i := range src {
-		src[i] = int32(r.Intn(1 << 20))
-	}
-	b.SetBytes(int64(n * (4 + 4 + 8)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.WidenMinArgmax(dst, dmin, src)
-	}
-}
-
-func BenchmarkWidenMinArgmaxUnfused(b *testing.B) {
-	n := 1 << 20
-	src := make([]int32, n)
-	dmin := make([]int32, n)
-	dst := make([]float64, n)
-	r := rand.New(rand.NewSource(5))
-	for i := range src {
-		src[i] = int32(r.Intn(1 << 20))
-	}
-	b.SetBytes(int64(n * (4 + 4 + 8)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.Int32ToFloat64(dst, src)
-		linalg.MinUpdateInt32(dmin, src)
-		_ = parallelArgmax(dmin)
-	}
+	gate.Check("layout_parallel", Speedup(3, run(1), run(gate.Workers())))
 }

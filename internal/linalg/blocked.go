@@ -16,14 +16,11 @@ package linalg
 // unroll factor and column counts that are not a multiple of the tile
 // shape fall through to narrower kernels covering the remainder.
 
-// dot4x2 accumulates the 4×2 tile cᵢⱼ += Σ_r aᵢ[r]·bⱼ[r] over the full
-// slice length with a 4-way unrolled row loop. The accumulators start
-// from the caller's running values (zero for a one-shot product): each
-// adds one product at a time in ascending row order, so a caller that
-// feeds a row range through in chunks — spilling the accumulators to
-// memory between chunks, as the packed kernels do — performs exactly the
-// same additions in exactly the same order as one full-range call.
-func dot4x2(a0, a1, a2, a3, b0, b1 []float64, c00, c10, c20, c30, c01, c11, c21, c31 float64) (float64, float64, float64, float64, float64, float64, float64, float64) {
+// dot4x2 computes the 4×2 tile cᵢⱼ = Σ_r aᵢ[r]·bⱼ[r] over the full
+// slice length with a 4-way unrolled row loop. Each accumulator adds one
+// product at a time in ascending row order, exactly like the naive
+// kernel.
+func dot4x2(a0, a1, a2, a3, b0, b1 []float64) (c00, c10, c20, c30, c01, c11, c21, c31 float64) {
 	n := len(a0)
 	a1, a2, a3, b0, b1 = a1[:n], a2[:n], a3[:n], b0[:n], b1[:n]
 	r := 0
@@ -80,8 +77,8 @@ func dot4x2(a0, a1, a2, a3, b0, b1 []float64, c00, c10, c20, c30, c01, c11, c21,
 }
 
 // dot4x1 is the j-tail of the 4×2 tile: four A columns against one B
-// column, extending the caller's accumulator chains like dot4x2.
-func dot4x1(a0, a1, a2, a3, b0 []float64, c0, c1, c2, c3 float64) (float64, float64, float64, float64) {
+// column.
+func dot4x1(a0, a1, a2, a3, b0 []float64) (c0, c1, c2, c3 float64) {
 	n := len(a0)
 	a1, a2, a3, b0 = a1[:n], a2[:n], a3[:n], b0[:n]
 	r := 0
@@ -118,8 +115,8 @@ func dot4x1(a0, a1, a2, a3, b0 []float64, c0, c1, c2, c3 float64) (float64, floa
 }
 
 // dot1x2 is the i-tail of the 4×2 tile: one A column against two B
-// columns, extending the caller's accumulator chains like dot4x2.
-func dot1x2(a0, b0, b1 []float64, c0, c1 float64) (float64, float64) {
+// columns.
+func dot1x2(a0, b0, b1 []float64) (c0, c1 float64) {
 	n := len(a0)
 	b0, b1 = b0[:n], b1[:n]
 	r := 0
@@ -141,9 +138,8 @@ func dot1x2(a0, b0, b1 []float64, c0, c1 float64) (float64, float64) {
 	return c0, c1
 }
 
-// dot1x1 is the scalar corner of the tiling, extending the caller's
-// accumulator chain like dot4x2.
-func dot1x1(a0, b0 []float64, c float64) float64 {
+// dot1x1 is the scalar corner of the tiling.
+func dot1x1(a0, b0 []float64) (c float64) {
 	n := len(a0)
 	b0 = b0[:n]
 	r := 0
@@ -161,7 +157,7 @@ func dot1x1(a0, b0 []float64, c float64) float64 {
 
 // atbPanel writes the s×t column-major panel out[j*s+i] = Σ_{r∈[lo,hi)}
 // a_i[r]·b_j[r], tiling the output 4×2 so each pass over the row range
-// serves eight elements. Called once per row block by AtBInto; with one
+// serves eight elements. Called once per row block by AtBBudget; with one
 // block it produces the final product directly.
 func atbPanel(a, b *Dense, out []float64, lo, hi int) {
 	s, t := a.Cols, b.Cols
@@ -172,13 +168,12 @@ func atbPanel(a, b *Dense, out []float64, lo, hi int) {
 		i := 0
 		for ; i+4 <= s; i += 4 {
 			c00, c10, c20, c30, c01, c11, c21, c31 := dot4x2(
-				a.Col(i)[lo:hi], a.Col(i + 1)[lo:hi], a.Col(i + 2)[lo:hi], a.Col(i + 3)[lo:hi], b0, b1,
-				0, 0, 0, 0, 0, 0, 0, 0)
+				a.Col(i)[lo:hi], a.Col(i + 1)[lo:hi], a.Col(i + 2)[lo:hi], a.Col(i + 3)[lo:hi], b0, b1)
 			o0[i], o0[i+1], o0[i+2], o0[i+3] = c00, c10, c20, c30
 			o1[i], o1[i+1], o1[i+2], o1[i+3] = c01, c11, c21, c31
 		}
 		for ; i < s; i++ {
-			o0[i], o1[i] = dot1x2(a.Col(i)[lo:hi], b0, b1, 0, 0)
+			o0[i], o1[i] = dot1x2(a.Col(i)[lo:hi], b0, b1)
 		}
 	}
 	if j < t {
@@ -187,11 +182,10 @@ func atbPanel(a, b *Dense, out []float64, lo, hi int) {
 		i := 0
 		for ; i+4 <= s; i += 4 {
 			o0[i], o0[i+1], o0[i+2], o0[i+3] = dot4x1(
-				a.Col(i)[lo:hi], a.Col(i + 1)[lo:hi], a.Col(i + 2)[lo:hi], a.Col(i + 3)[lo:hi], b0,
-				0, 0, 0, 0)
+				a.Col(i)[lo:hi], a.Col(i + 1)[lo:hi], a.Col(i + 2)[lo:hi], a.Col(i + 3)[lo:hi], b0)
 		}
 		for ; i < s; i++ {
-			o0[i] = dot1x1(a.Col(i)[lo:hi], b0, 0)
+			o0[i] = dot1x1(a.Col(i)[lo:hi], b0)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // Adversarial row counts for the blocked kernels: everything that can go
@@ -30,8 +32,8 @@ func TestBlockedAtBBitwiseMatchesNaive(t *testing.T) {
 				b.Data[i] = r.NormFloat64()
 			}
 			want := NewDense(s, u)
-			AtBNaiveInto(a, b, want, nil)
-			got := AtB(a, b)
+			atbNaive(parallel.Live(), a, b, want, nil)
+			got := AtBBudget(parallel.Live(), a, b, nil, nil)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("n=%d s=%d t=%d: AtB[%d] = %g, naive %g (must be bitwise equal)",
@@ -40,6 +42,25 @@ func TestBlockedAtBBitwiseMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+	// The chunk/tile-boundary shapes, under every worker budget, with one
+	// partials arena reused across shapes and budgets like a pooled
+	// workspace reuses it.
+	var partials []float64
+	withProcs(4, func() {
+		for _, sh := range adversarialAtBShapes {
+			a, b := NewDense(sh.n, sh.s), NewDense(sh.n, sh.t)
+			fillRand(a, r)
+			fillRand(b, r)
+			ref := atbNaive(parallel.FixedBudget(1), a, b, nil, nil)
+			if need := ReduceBlocks(sh.n) * sh.s * sh.t; cap(partials) < need {
+				partials = make([]float64, need)
+			}
+			for _, bud := range testBudgets() {
+				assertDenseEqual(t, "private partials", AtBBudget(bud, a, b, nil, nil), ref)
+				assertDenseEqual(t, "pooled partials", AtBBudget(bud, a, b, NewDense(sh.s, sh.t), partials), ref)
+			}
+		}
+	})
 }
 
 // TestBlockedAtBSerialMatchesParallel pins the determinism contract for
@@ -57,13 +78,13 @@ func TestBlockedAtBSerialMatchesParallel(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = r.NormFloat64()
 	}
-	par := AtB(a, b)
+	par := AtBBudget(parallel.Live(), a, b, nil, nil)
 	wantPar := NewDense(s, u)
-	AtBNaiveInto(a, b, wantPar, nil) // same worker count as par
+	atbNaive(parallel.Live(), a, b, wantPar, nil) // same worker count as par
 	prev := runtime.GOMAXPROCS(1)
-	ser := AtB(a, b)
+	ser := AtBBudget(parallel.Live(), a, b, nil, nil)
 	wantSer := NewDense(s, u)
-	AtBNaiveInto(a, b, wantSer, nil)
+	atbNaive(parallel.Live(), a, b, wantSer, nil)
 	runtime.GOMAXPROCS(prev)
 	for i := range wantSer.Data {
 		// Blocked equals naive bitwise at each worker count (same block
@@ -101,7 +122,7 @@ func TestDDotPanelMatchesReference(t *testing.T) {
 				d[i] = 1 + d[i]*d[i] // positive weights
 			}
 			for _, dd := range [][]float64{nil, d} {
-				got := DDotPanel(cols, work, dd, nil, nil)
+				got := DDotPanelBudget(parallel.Live(), cols, work, dd, nil, nil)
 				if len(got) != k {
 					t.Fatalf("n=%d k=%d: got %d dots", n, k, len(got))
 				}
@@ -140,7 +161,7 @@ func TestSubtractScaledMatchesReference(t *testing.T) {
 			for j := range cols {
 				Axpy(-coeffs[j], cols[j], want)
 			}
-			SubtractScaled(work, cols, coeffs)
+			SubtractScaledBudget(parallel.Live(), work, cols, coeffs)
 			for i := range work {
 				if !approxEq(work[i], want[i], 1e-12) {
 					t.Fatalf("n=%d k=%d: work[%d] = %g, want %g", n, k, i, work[i], want[i])
@@ -207,7 +228,7 @@ func TestScaledCopyDDotMatchesUnfused(t *testing.T) {
 				wantDN += w
 			}
 			dst := make([]float64, n)
-			dn := ScaledCopyDDot(dst, src, dd, a, nil)
+			dn := ScaledCopyDDotBudget(parallel.Live(), dst, src, dd, a, nil)
 			for i := range dst {
 				if dst[i] != want[i] {
 					t.Fatalf("n=%d: dst[%d] = %g, want %g", n, i, dst[i], want[i])

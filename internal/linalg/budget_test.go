@@ -73,7 +73,7 @@ func TestAtBBudgetInvariance(t *testing.T) {
 						t.Fatalf("n=%d workers=%d: AtB[%d] %v != %v", n, bud.Workers(), k, got.Data[k], ref.Data[k])
 					}
 				}
-				naive := AtBNaiveBudget(bud, a, b, nil, partials)
+				naive := atbNaive(bud, a, b, nil, partials)
 				for k := range ref.Data {
 					if naive.Data[k] != ref.Data[k] {
 						t.Fatalf("n=%d workers=%d: naive[%d] %v != %v", n, bud.Workers(), k, naive.Data[k], ref.Data[k])
@@ -189,8 +189,8 @@ func TestScaledCopyDDotBudgetInvariance(t *testing.T) {
 	})
 }
 
-// TestLapMulBudgetInvariance: the Laplacian kernels (column-wise and
-// tiled) agree bitwise with each other and across budgets.
+// TestLapMulBudgetInvariance: the packed L·S kernel and the column-wise
+// oracle agree bitwise with each other and across budgets.
 func TestLapMulBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := gen.Path(2*TileRows + 13)
@@ -199,16 +199,16 @@ func TestLapMulBudgetInvariance(t *testing.T) {
 	withProcs(4, func() {
 		s := NewDense(n, 6)
 		copy(s.Data, randVec(n*6, rng))
-		ref := LapMulDenseBudget(parallel.FixedBudget(1), g, deg, s)
+		ref := lapMulColumnwise(parallel.FixedBudget(1), g, deg, s)
 		for _, bud := range testBudgets() {
-			got := LapMulDenseBudget(bud, g, deg, s)
-			tiled := LapMulDenseTiledBudget(bud, g, deg, s, nil, nil, nil)
+			got := lapMulColumnwise(bud, g, deg, s)
+			packed := LapMulDenseTiledPackedBudget(bud, g, deg, s, nil, nil, nil)
 			for k := range ref.Data {
 				if got.Data[k] != ref.Data[k] {
-					t.Fatalf("workers=%d: LapMulDense[%d] diverged", bud.Workers(), k)
+					t.Fatalf("workers=%d: column-wise L·S[%d] diverged", bud.Workers(), k)
 				}
-				if tiled.Data[k] != ref.Data[k] {
-					t.Fatalf("workers=%d: LapMulDenseTiled[%d] diverged", bud.Workers(), k)
+				if packed.Data[k] != ref.Data[k] {
+					t.Fatalf("workers=%d: packed L·S[%d] diverged", bud.Workers(), k)
 				}
 			}
 		}

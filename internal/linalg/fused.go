@@ -81,14 +81,9 @@ func WidenMinArgmaxBudget(bud parallel.Budget, dst []float64, dmin, src []int32,
 	return best
 }
 
-// ScaledCopy computes dst[i] = a·src[i] in one pass — the fused form of
-// CopyVec followed by Scale.
-func ScaledCopy(dst, src []float64, a float64) {
-	ScaledCopyBudget(parallel.Live(), dst, src, a)
-}
-
-// ScaledCopyBudget is ScaledCopy under an explicit worker budget. Each
-// element is written by one worker, so results are partition-independent.
+// ScaledCopyBudget computes dst[i] = a·src[i] in one pass — the fused
+// form of CopyVec followed by Scale. Each element is written by one
+// worker, so results are partition-independent.
 func ScaledCopyBudget(bud parallel.Budget, dst, src []float64, a float64) {
 	checkLen(len(dst), len(src))
 	if bud.Serial(len(src)) {
@@ -104,18 +99,14 @@ func ScaledCopyBudget(bud parallel.Budget, dst, src []float64, a float64) {
 	})
 }
 
-// ScaledCopyDDot computes dst[i] = a·src[i] and returns dstᵀdiag(d)dst
-// (plain dstᵀdst when d is nil) in the same pass: the fused form of the
-// DOrtho keep step, which previously copied, scaled, and then re-streamed
-// the column a third time for its D-norm. partials is the reduction
-// buffer (capacity ≥ ReduceBlocks(n), grown when short); the fixed
-// tiling and serial in-tile-order combine match DotWith/DDotWith, so the
-// sum is bitwise identical for every worker budget.
-func ScaledCopyDDot(dst, src, d []float64, a float64, partials []float64) float64 {
-	return ScaledCopyDDotBudget(parallel.Live(), dst, src, d, a, partials)
-}
-
-// ScaledCopyDDotBudget is ScaledCopyDDot under an explicit worker budget.
+// ScaledCopyDDotBudget computes dst[i] = a·src[i] and returns
+// dstᵀdiag(d)dst (plain dstᵀdst when d is nil) in the same pass: the
+// fused form of the DOrtho keep step, which would otherwise copy, scale,
+// and then re-stream the column a third time for its D-norm. partials is
+// the reduction buffer (capacity ≥ ReduceBlocks(n), grown when short);
+// the fixed tiling and serial in-tile-order combine match
+// DotBudget/DDotBudget, so the sum is bitwise identical for every worker
+// budget.
 func ScaledCopyDDotBudget(bud parallel.Budget, dst, src, d []float64, a float64, partials []float64) float64 {
 	checkLen(len(dst), len(src))
 	if d != nil {
@@ -149,7 +140,7 @@ func ScaledCopyDDotBudget(bud parallel.Budget, dst, src, d []float64, a float64,
 	return s
 }
 
-// scaledCopyDDotRange is one tile of ScaledCopyDDot.
+// scaledCopyDDotRange is one tile of ScaledCopyDDotBudget.
 func scaledCopyDDotRange(dst, src, d []float64, a float64, lo, hi int) float64 {
 	var s float64
 	if d == nil {

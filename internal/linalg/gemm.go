@@ -4,34 +4,24 @@ import (
 	"repro/internal/parallel"
 )
 
-// AtB computes the small dense product C = AᵀB, where A and B are n×s and
-// n×t column-major matrices with large n and small s, t. This is the
-// dgemm step of the TripleProd phase, Z = Sᵀ(LS): the paper notes its
+// AtBBudget computes the small dense product C = AᵀB, where A and B are
+// n×s and n×t column-major matrices with large n and small s, t. This is
+// the dgemm step of the TripleProd phase, Z = Sᵀ(LS): the paper notes its
 // arithmetic intensity is s and its depth is independent of s (Table 1).
 //
 // The row dimension is cut into the fixed TileRows tiling; each tile is
 // filled with the register-blocked 4×2 micro-kernel (see blocked.go) into
 // its own s×t panel and the panels are combined serially in tile order.
-// Because the tile grid depends only on n, the result is bitwise
-// identical for every worker budget, including the serial path. Each
-// output element owns one accumulator advancing in ascending row order,
-// so the blocked kernel also sums in the same order as the naive
-// reference within a tile.
-func AtB(a, b *Dense) *Dense {
-	return AtBInto(a, b, nil, nil)
-}
-
-// AtBInto is AtB writing into c (allocated when nil; contents are
-// overwritten) with partials as the per-tile panel arena (capacity ≥
-// ReduceBlocks(n)·s·t floats, grown when short). A workspace-backed
+// c receives the product (allocated when nil; contents are overwritten)
+// and partials is the per-tile panel arena (capacity ≥
+// ReduceBlocks(n)·s·t floats, grown when short); a workspace-backed
 // caller passes both and the steady-state product allocates nothing.
-func AtBInto(a, b, c *Dense, partials []float64) *Dense {
-	return AtBBudget(parallel.Live(), a, b, c, partials)
-}
-
-// AtBBudget is AtBInto running under an explicit worker budget: the
-// budget sets how many goroutines the fixed tile grid fans out across and
-// nothing else, so every budget produces identical bits.
+// Because the tile grid depends only on n, the budget sets how many
+// goroutines the tiles fan out across and nothing else: the result is
+// bitwise identical for every worker budget, including the serial path.
+// Each output element owns one accumulator advancing in ascending row
+// order, so the blocked kernel also sums in the same order as the naive
+// reference within a tile.
 func AtBBudget(bud parallel.Budget, a, b, c *Dense, partials []float64) *Dense {
 	n, s, t, c := atbCheck(a, b, c)
 	tiles := ReduceBlocks(n)
@@ -58,44 +48,6 @@ func AtBBudget(bud parallel.Budget, a, b, c *Dense, partials []float64) *Dense {
 	return c
 }
 
-// AtBNaiveInto is the unblocked reference kernel: one full pass over a
-// column pair per output element (A streamed t times, B streamed s
-// times). It is kept as the correctness oracle for the blocked kernel's
-// property tests and as the baseline the perf/kernel_budget.json gate
-// measures the blocked kernel against; production callers should use
-// AtBInto.
-func AtBNaiveInto(a, b, c *Dense, partials []float64) *Dense {
-	return AtBNaiveBudget(parallel.Live(), a, b, c, partials)
-}
-
-// AtBNaiveBudget is AtBNaiveInto under an explicit worker budget, tiled
-// exactly like AtBBudget so the two stay bitwise comparable.
-func AtBNaiveBudget(bud parallel.Budget, a, b, c *Dense, partials []float64) *Dense {
-	n, s, t, c := atbCheck(a, b, c)
-	tiles := ReduceBlocks(n)
-	if tiles == 1 {
-		naivePanel(a, b, c.Data, 0, n)
-		return c
-	}
-	var buf []float64
-	if cap(partials) >= tiles*s*t {
-		buf = partials[:tiles*s*t]
-	} else {
-		buf = make([]float64, tiles*s*t)
-	}
-	if bud.Workers() <= 1 {
-		for tl := 0; tl < tiles; tl++ {
-			naivePanel(a, b, buf[tl*s*t:(tl+1)*s*t], tl*n/tiles, (tl+1)*n/tiles)
-		}
-	} else {
-		forTiles(bud, n, tiles, func(tl, lo, hi int) {
-			naivePanel(a, b, buf[tl*s*t:(tl+1)*s*t], lo, hi)
-		})
-	}
-	combinePanels(c.Data, buf, tiles, s*t)
-	return c
-}
-
 // atbCheck validates shapes and allocates c when nil.
 func atbCheck(a, b, c *Dense) (n, s, t int, out *Dense) {
 	if a.Rows != b.Rows {
@@ -105,26 +57,9 @@ func atbCheck(a, b, c *Dense) (n, s, t int, out *Dense) {
 	if c == nil {
 		c = NewDense(s, t)
 	} else if c.Rows != s || c.Cols != t {
-		panic("linalg: AtBInto output shape mismatch")
+		panic("linalg: AtB output shape mismatch")
 	}
 	return n, s, t, c
-}
-
-// naivePanel is the reference inner loop: one column-pair pass per
-// output element over rows [lo, hi).
-func naivePanel(a, b *Dense, out []float64, lo, hi int) {
-	s, t := a.Cols, b.Cols
-	for j := 0; j < t; j++ {
-		bj := b.Col(j)
-		for i := 0; i < s; i++ {
-			ai := a.Col(i)
-			var sum float64
-			for r := lo; r < hi; r++ {
-				sum += ai[r] * bj[r]
-			}
-			out[j*s+i] = sum
-		}
-	}
 }
 
 // combinePanels sums the nb per-tile panels serially in ascending tile
@@ -140,26 +75,15 @@ func combinePanels(dst, buf []float64, nb, panel int) {
 	}
 }
 
-// MulSmall computes C = A·Y where A is n×s column-major (large n) and Y is
-// s×p (tiny). This is the final projection [x, y] = B·Y of both HDE
-// variants. Parallelized over row blocks; within a block the output
+// MulSmallBudget computes C = A·Y where A is n×s column-major (large n)
+// and Y is s×p (tiny). This is the final projection [x, y] = B·Y of both
+// HDE variants. c receives the product (allocated when nil; contents are
+// overwritten). Parallelized over row blocks; within a block the output
 // columns are produced in pairs so every A column is streamed once per
 // pair instead of once per output column (half the read traffic for the
-// usual p = 2).
-func MulSmall(a, y *Dense) *Dense {
-	return MulSmallInto(a, y, nil)
-}
-
-// MulSmallInto is MulSmall writing into c (allocated when nil; contents
-// are overwritten). Each output element is produced by exactly one block,
-// so reuse changes nothing numerically.
-func MulSmallInto(a, y, c *Dense) *Dense {
-	return MulSmallBudget(parallel.Live(), a, y, c)
-}
-
-// MulSmallBudget is MulSmallInto under an explicit worker budget. Each
-// output element is produced by exactly one worker with a fixed in-row
-// summation order, so the result is partition-independent.
+// usual p = 2). Each output element is produced by exactly one worker
+// with a fixed in-row summation order, so the result is
+// partition-independent.
 func MulSmallBudget(bud parallel.Budget, a, y, c *Dense) *Dense {
 	if a.Cols != y.Rows {
 		panic("linalg: MulSmall dimension mismatch")
@@ -168,7 +92,7 @@ func MulSmallBudget(bud parallel.Budget, a, y, c *Dense) *Dense {
 	if c == nil {
 		c = NewDense(n, p)
 	} else if c.Rows != n || c.Cols != p {
-		panic("linalg: MulSmallInto output shape mismatch")
+		panic("linalg: MulSmall output shape mismatch")
 	}
 	if bud.Serial(n) {
 		mulSmallRows(a, y, c, 0, n)

@@ -43,22 +43,6 @@ func LapMulVecBudget(bud parallel.Budget, g *graph.CSR, deg []float64, x, p []fl
 	})
 }
 
-// LapMulDense computes P = L·S column by column — the s fused SpMVs of
-// step 1 of the TripleProd phase. The irregular reads x[g.Adj[k]] are the
-// accesses whose cost tracks the adjacency-gap distribution of Figure 2.
-func LapMulDense(g *graph.CSR, deg []float64, s *Dense) *Dense {
-	return LapMulDenseBudget(parallel.Live(), g, deg, s)
-}
-
-// LapMulDenseBudget is LapMulDense under an explicit worker budget.
-func LapMulDenseBudget(bud parallel.Budget, g *graph.CSR, deg []float64, s *Dense) *Dense {
-	p := NewDense(s.Rows, s.Cols)
-	for j := 0; j < s.Cols; j++ {
-		LapMulVecBudget(bud, g, deg, s.Col(j), p.Col(j))
-	}
-	return p
-}
-
 // WalkMulVec computes p ← D⁻¹A·x, the transition-matrix product used by
 // the power-iteration baseline for Figure 1's bottom drawing (dominant
 // eigenvectors of the normalized adjacency matrix).

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func randVec(n int, r *rand.Rand) []float64 {
@@ -158,7 +160,7 @@ func TestAtBMatchesNaive(t *testing.T) {
 			b.Data[i] = r.NormFloat64()
 		}
 		want := naiveAtB(a, b)
-		got := AtB(a, b)
+		got := AtBBudget(parallel.Live(), a, b, nil, nil)
 		for i := range want.Data {
 			if !approxEq(got.Data[i], want.Data[i], 1e-10) {
 				t.Fatalf("shape %v: AtB[%d] = %g, want %g", shape, i, got.Data[i], want.Data[i])
@@ -177,7 +179,7 @@ func TestMulSmallMatchesNaive(t *testing.T) {
 	for i := range y.Data {
 		y.Data[i] = r.NormFloat64()
 	}
-	got := MulSmall(a, y)
+	got := MulSmallBudget(parallel.Live(), a, y, nil)
 	for i := 0; i < n; i += 97 {
 		for j := 0; j < p; j++ {
 			var want float64
@@ -260,7 +262,7 @@ func TestFusedMatchesExplicitLaplacian(t *testing.T) {
 		for i := range s.Data {
 			s.Data[i] = r.NormFloat64()
 		}
-		fused := LapMulDense(g, deg, s)
+		fused := LapMulDenseTiledPackedBudget(parallel.Live(), g, deg, s, nil, nil, nil)
 		explicit := NewExplicitLaplacian(g).MulDense(s)
 		for i := range fused.Data {
 			if !approxEq(fused.Data[i], explicit.Data[i], 1e-10) {
@@ -357,38 +359,58 @@ func TestSquareElements(t *testing.T) {
 	}
 }
 
+// TestTiledMatchesColumnwiseLS: the production L·S kernel, the two-pass
+// oracle, and the column-wise oracle agree bit for bit — no tolerance —
+// on weighted and unweighted graphs, at row counts just below, at, and
+// past the TileRows boundary, at subspace widths on both sides of the
+// s ≈ 8 point where the column-wise kernel used to be preferred, and at
+// every worker budget.
 func TestTiledMatchesColumnwiseLS(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		var g *graph.CSR
-		if weighted {
-			g = gen.WithRandomWeights(gen.Kron(9, 8, 4), 9, 2)
-		} else {
-			g = gen.WebGraph(3000, 10, 3)
-		}
-		deg := g.WeightedDegrees()
-		r := rand.New(rand.NewSource(6))
-		for _, cols := range []int{0, 1, 7, 50} {
-			s := NewDense(g.NumV, cols)
-			for i := range s.Data {
-				s.Data[i] = r.NormFloat64()
-			}
-			a := LapMulDense(g, deg, s)
-			b := LapMulDenseTiled(g, deg, s)
-			for i := range a.Data {
-				if !approxEq(a.Data[i], b.Data[i], 1e-10) {
-					t.Fatalf("weighted=%v cols=%d: tiled[%d] = %g, columnwise %g", weighted, cols, i, b.Data[i], a.Data[i])
+	r := rand.New(rand.NewSource(6))
+	arena := &PackArena{}
+	withProcs(4, func() {
+		for _, n := range []int{TileRows - 1, TileRows, TileRows + 64} {
+			for _, weighted := range []bool{false, true} {
+				g := gen.WebGraph(n, 10, 3)
+				if weighted {
+					g = gen.WithRandomWeights(g, 9, 2)
+				}
+				deg := g.WeightedDegrees()
+				for _, cols := range []int{0, 1, 3, 7, 10, 32} {
+					s := NewDense(g.NumV, cols)
+					for i := range s.Data {
+						s.Data[i] = r.NormFloat64()
+					}
+					want := lapMulColumnwise(parallel.FixedBudget(1), g, deg, s)
+					for _, bud := range testBudgets() {
+						tag := fmt.Sprintf("n=%d weighted=%v cols=%d workers=%d", g.NumV, weighted, cols, bud.Workers())
+						assertDenseEqual(t, tag+" column-wise", lapMulColumnwise(bud, g, deg, s), want)
+						assertDenseEqual(t, tag+" two-pass", lapMulTwoPass(bud, g, deg, s, nil, nil, nil), want)
+						assertDenseEqual(t, tag+" packed", LapMulDenseTiledPackedBudget(bud, g, deg, s, nil, nil, arena), want)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestTiledPanicsOnMismatch(t *testing.T) {
 	g := gen.Path(5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	LapMulDenseTiled(g, g.WeightedDegrees(), NewDense(4, 2))
+	for name, f := range map[string]func(){
+		"rows": func() {
+			LapMulDenseTiledPackedBudget(parallel.Live(), g, g.WeightedDegrees(), NewDense(4, 2), nil, nil, nil)
+		},
+		"output": func() {
+			LapMulDenseTiledPackedBudget(parallel.Live(), g, g.WeightedDegrees(), NewDense(5, 2), NewDense(5, 3), nil, nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s mismatch: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }

@@ -1,45 +1,22 @@
 package linalg
 
-import (
-	"repro/internal/parallel"
-)
-
-// Cache-resident packed kernels. The blocked kernels in blocked.go cut
-// redundant loads with register tiling, but they still stream their
-// operands out of the column-major matrices in place: for an n×s matrix
-// the columns sit n·8 bytes apart, and at the power-of-two sizes the
-// layouts run at (n = 2^16…2^20) every column of a 4×2 tile pass maps to
-// the same cache sets, so the per-tile working set that should be served
-// from L1/L2 is evicted by its own conflict misses and each B-column pair
-// re-reads the A tile from DRAM. The kernels here close that gap by
-// packing: each worker copies the chunk of rows it is about to consume
-// into its own contiguous arena slot once, then runs the same 4×2
-// micro-kernels out of the packed copy, which stays cache-resident for
-// every subsequent pass over the chunk. Packing is a copy and every
-// accumulator chain still advances one product at a time in ascending row
-// order, so the packed kernels are bitwise identical to their unpacked
-// counterparts (and, transitively, to the naive references) for every
-// worker budget — the property the packed-equivalence fuzz and
-// budget-invariance suites pin down.
-
-// PackRows is the row height of one packed chunk: 512 rows are 4 KiB per
-// packed column, so a chunk of a 48-column A panel plus a 48-column B
-// panel is ~384 KiB — comfortably L2-resident on every deployment target
-// while tall enough that the pack copy is amortized over the s·t/8 kernel
-// passes that consume it. Chunk boundaries never change results: the
-// accumulator chains are carried through the output panel between chunks.
+// PackRows is the row height of one packed output chunk of
+// LapMulDenseTiledPackedBudget: a worker fuses PackRows rows of L·S into
+// its arena slot (PackRows·s floats — 128 KiB at s = 32) and unpacks
+// them into the column-major result while the slot is still
+// cache-resident. Chunk boundaries never change results: every output
+// row is computed whole inside one chunk.
 const PackRows = 512
 
-// PackArena holds the per-worker packed-chunk buffers of the packed
-// kernels. Each worker of a fan-out owns one slot and packs the rows it
-// is about to consume into it, so slots are written and read by exactly
-// one goroutine per call. A zero PackArena is ready to use; Ensure grows
-// it on demand and never sheds capacity, so a pooled workspace that
-// carries one arena across runs allocates only when the worker count or
-// chunk footprint actually grows. Slot sizing is the caller's worker
-// count snapshotted at kernel entry — a live budget's GOMAXPROCS moving
-// mid-call cannot outrun the arena (the kernels fan out across exactly
-// the snapshotted count).
+// PackArena holds the per-worker chunk buffers of the packed L·S kernel.
+// Each worker of a fan-out owns one slot, so slots are written and read
+// by exactly one goroutine per call. A zero PackArena is ready to use;
+// Ensure grows it on demand and never sheds capacity, so a pooled
+// workspace that carries one arena across runs allocates only when the
+// worker count or chunk footprint actually grows. Slot sizing is the
+// caller's worker count snapshotted at kernel entry — a live budget's
+// GOMAXPROCS moving mid-call cannot outrun the arena (the kernel fans
+// out across exactly the snapshotted count).
 type PackArena struct {
 	buf []float64
 	per int
@@ -62,111 +39,4 @@ func (pa *PackArena) Ensure(workers, per int) {
 // slot returns worker w's packed-chunk buffer (after Ensure).
 func (pa *PackArena) slot(w int) []float64 {
 	return pa.buf[w*pa.per : (w+1)*pa.per]
-}
-
-// AtBPacked is AtBInto running the packed kernel with private storage —
-// the convenience form the property tests exercise; production callers
-// use AtBPackedBudget with a pooled arena.
-func AtBPacked(a, b *Dense) *Dense {
-	return AtBPackedBudget(parallel.Live(), a, b, nil, nil, nil)
-}
-
-// AtBPackedBudget is AtBBudget with cache-resident packed tiles: each
-// worker packs the PackRows-high chunk of A and B columns it is about to
-// consume into its arena slot and runs the 4×2 micro-kernels out of the
-// packed copy, so the chunk is read from DRAM once and served from cache
-// for all s·t/8 kernel passes (the unpacked kernel re-reads the A tile
-// once per B-column pair). The tile grid, per-tile panels, and serial
-// ascending-order combine are exactly AtBBudget's, and the accumulator
-// chains are carried through the output panel between chunks, so the
-// result is bitwise identical to AtBBudget and AtBNaiveBudget for every
-// worker budget. arena may be nil (private storage) — a workspace-backed
-// caller passes the pooled arena and the steady state allocates nothing.
-func AtBPackedBudget(bud parallel.Budget, a, b, c *Dense, partials []float64, arena *PackArena) *Dense {
-	n, s, t, c := atbCheck(a, b, c)
-	tiles := ReduceBlocks(n)
-	workers := bud.Workers()
-	if workers > tiles {
-		workers = tiles
-	}
-	if arena == nil {
-		arena = &PackArena{}
-	}
-	arena.Ensure(workers, PackRows*(s+t))
-	if tiles == 1 {
-		atbPackedPanel(a, b, c.Data, 0, n, arena.slot(0))
-		return c
-	}
-	var buf []float64
-	if cap(partials) >= tiles*s*t {
-		buf = partials[:tiles*s*t]
-	} else {
-		buf = make([]float64, tiles*s*t)
-	}
-	if workers <= 1 {
-		slot := arena.slot(0)
-		for tl := 0; tl < tiles; tl++ {
-			atbPackedPanel(a, b, buf[tl*s*t:(tl+1)*s*t], tl*n/tiles, (tl+1)*n/tiles, slot)
-		}
-	} else {
-		forTilesIndexed(workers, n, tiles, func(w, tl, lo, hi int) {
-			atbPackedPanel(a, b, buf[tl*s*t:(tl+1)*s*t], lo, hi, arena.slot(w))
-		})
-	}
-	combinePanels(c.Data, buf, tiles, s*t)
-	return c
-}
-
-// atbPackedPanel is atbPanel running out of packed storage: rows
-// [lo, hi) are consumed in PackRows-high chunks, each chunk's A and B
-// columns copied contiguously into the worker's arena slot before the
-// 4×2 kernels sweep it. The output panel doubles as the accumulator
-// store between chunks — every element is loaded, extended by the
-// chunk's products in ascending row order, and stored back — so the
-// additions happen in exactly the order of one unpacked full-range pass.
-func atbPackedPanel(a, b *Dense, out []float64, lo, hi int, pack []float64) {
-	s, t := a.Cols, b.Cols
-	for k := range out[: s*t : s*t] {
-		out[k] = 0
-	}
-	for r0 := lo; r0 < hi; r0 += PackRows {
-		r1 := min(r0+PackRows, hi)
-		w := r1 - r0
-		packA := pack[: s*w : s*w]
-		packB := pack[s*w : (s+t)*w]
-		for i := 0; i < s; i++ {
-			copy(packA[i*w:(i+1)*w], a.Col(i)[r0:r1])
-		}
-		for j := 0; j < t; j++ {
-			copy(packB[j*w:(j+1)*w], b.Col(j)[r0:r1])
-		}
-		j := 0
-		for ; j+2 <= t; j += 2 {
-			b0, b1 := packB[j*w:(j+1)*w], packB[(j+1)*w:(j+2)*w]
-			o0, o1 := out[j*s:(j+1)*s], out[(j+1)*s:(j+2)*s]
-			i := 0
-			for ; i+4 <= s; i += 4 {
-				o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3] = dot4x2(
-					packA[i*w:(i+1)*w], packA[(i+1)*w:(i+2)*w], packA[(i+2)*w:(i+3)*w], packA[(i+3)*w:(i+4)*w],
-					b0, b1,
-					o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3])
-			}
-			for ; i < s; i++ {
-				o0[i], o1[i] = dot1x2(packA[i*w:(i+1)*w], b0, b1, o0[i], o1[i])
-			}
-		}
-		if j < t {
-			b0 := packB[j*w : (j+1)*w]
-			o0 := out[j*s : (j+1)*s]
-			i := 0
-			for ; i+4 <= s; i += 4 {
-				o0[i], o0[i+1], o0[i+2], o0[i+3] = dot4x1(
-					packA[i*w:(i+1)*w], packA[(i+1)*w:(i+2)*w], packA[(i+2)*w:(i+3)*w], packA[(i+3)*w:(i+4)*w],
-					b0, o0[i], o0[i+1], o0[i+2], o0[i+3])
-			}
-			for ; i < s; i++ {
-				o0[i] = dot1x1(packA[i*w:(i+1)*w], b0, o0[i])
-			}
-		}
-	}
 }

@@ -8,18 +8,18 @@ import (
 	"repro/internal/parallel"
 )
 
-// Adversarial equivalence suite for the packed kernels. The hazard of
-// packing is silent numerical divergence on shapes where the chunk,
-// tile, and panel boundaries interact — row counts straddling PackRows
-// and TileRows, degenerate column counts, empty inputs — so every test
-// here compares bitwise against the naive or flat reference on exactly
-// those shapes, under every worker budget, with arenas reused across
-// calls the way a pooled workspace reuses them.
+// Adversarial equivalence suite for the packed and tiled kernels. The
+// hazard is silent numerical divergence on shapes where the chunk, tile,
+// and panel boundaries interact — row counts straddling PackRows and
+// TileRows, degenerate column counts, empty inputs — so every test here
+// compares bitwise against a reference kernel on exactly those shapes,
+// under every worker budget, with arenas reused across calls the way a
+// pooled workspace reuses them.
 
-// adversarialAtBShapes are the (n, s, t) cases the packed AᵀB kernel
-// must survive bitwise: rows not a multiple of the pack chunk or the
-// reduction tile, rows below one chunk/tile, single and odd column
-// counts (micro-kernel tails), and the empty-row matrix.
+// adversarialAtBShapes are the (n, s, t) cases AᵀB must survive bitwise:
+// rows not a multiple of the pack chunk or the reduction tile, rows
+// below one chunk/tile, single and odd column counts (micro-kernel
+// tails), and the empty-row matrix.
 var adversarialAtBShapes = []struct{ n, s, t int }{
 	{0, 3, 2},                // empty rows: output must still zero
 	{1, 1, 1},                // scalar corner everywhere
@@ -53,57 +53,9 @@ func assertDenseEqual(t *testing.T, tag string, got, want *Dense) {
 	}
 }
 
-// TestAtBPackedAdversarialShapes: the packed AᵀB kernel is bitwise equal
-// to AtBNaiveInto on every adversarial shape, for every worker budget,
-// with both private and reused arenas/partials.
-func TestAtBPackedAdversarialShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	arena := &PackArena{} // reused across every shape and budget, like a pooled workspace
-	withProcs(4, func() {
-		for _, sh := range adversarialAtBShapes {
-			a, b := NewDense(sh.n, sh.s), NewDense(sh.n, sh.t)
-			fillRand(a, rng)
-			fillRand(b, rng)
-			ref := AtBNaiveInto(a, b, nil, nil)
-			partials := make([]float64, ReduceBlocks(sh.n)*sh.s*sh.t)
-			for _, bud := range testBudgets() {
-				got := AtBPackedBudget(bud, a, b, nil, nil, nil)
-				assertDenseEqual(t, "private arena", got, ref)
-				got = AtBPackedBudget(bud, a, b, NewDense(sh.s, sh.t), partials, arena)
-				assertDenseEqual(t, "pooled arena", got, ref)
-			}
-			if got := AtBPacked(a, b); true {
-				assertDenseEqual(t, "live convenience", got, ref)
-			}
-		}
-	})
-}
-
-// TestAtBPackedBudgetInvariance: packed, blocked, and naive AᵀB agree
-// bitwise across worker budgets while one arena is shared mid-run, so a
-// budget change between calls cannot leave stale packed state behind.
-func TestAtBPackedBudgetInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	arena := &PackArena{}
-	withProcs(4, func() {
-		for _, n := range []int{64, TileRows, 3*TileRows + 5} {
-			s, u := 7, 5
-			a, b := NewDense(n, s), NewDense(n, u)
-			fillRand(a, rng)
-			fillRand(b, rng)
-			partials := make([]float64, ReduceBlocks(n)*s*u)
-			ref := AtBBudget(parallel.FixedBudget(1), a, b, nil, nil)
-			for _, bud := range testBudgets() {
-				got := AtBPackedBudget(bud, a, b, nil, partials, arena)
-				assertDenseEqual(t, "packed vs blocked", got, ref)
-			}
-		}
-	})
-}
-
 // TestLapMulPackedBudgetInvariance: the fused packed TripleProd kernel
-// matches the two-pass tiled kernel bitwise for every budget, sharing
-// one arena across budgets and shapes.
+// matches the two-pass oracle bitwise for every budget, sharing one
+// arena across budgets and shapes.
 func TestLapMulPackedBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	arena := &PackArena{}
@@ -114,15 +66,14 @@ func TestLapMulPackedBudgetInvariance(t *testing.T) {
 			for _, cols := range []int{1, 6, 9} {
 				s := NewDense(g.NumV, cols)
 				fillRand(s, rng)
-				ref := LapMulDenseTiledBudget(parallel.FixedBudget(1), g, deg, s, nil, nil, nil)
+				ref := lapMulTwoPass(parallel.FixedBudget(1), g, deg, s, nil, nil, nil)
 				srm := make([]float64, g.NumV*cols)
 				for _, bud := range testBudgets() {
 					got := LapMulDenseTiledPackedBudget(bud, g, deg, s, nil, srm, arena)
 					assertDenseEqual(t, "packed vs tiled LapMul", got, ref)
 				}
-				if got := LapMulDenseTiledPacked(g, deg, s); true {
-					assertDenseEqual(t, "live convenience", got, ref)
-				}
+				got := LapMulDenseTiledPackedBudget(parallel.Live(), g, deg, s, nil, nil, nil)
+				assertDenseEqual(t, "private storage", got, ref)
 			}
 		}
 	})
@@ -223,7 +174,8 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 }
 
 // TestPackedColsRangeChecks: the packed store panics on out-of-range
-// column access instead of reading stale slots.
+// column access instead of reading stale slots, and on an append past
+// its capacity instead of overwriting the next tile's slots.
 func TestPackedColsRangeChecks(t *testing.T) {
 	var pc PackedCols
 	pc.Ensure(16, 2)
@@ -235,6 +187,13 @@ func TestPackedColsRangeChecks(t *testing.T) {
 		},
 		"mismatch": func() {
 			pc.SubtractScaledRangeBudget(parallel.FixedBudget(1), 0, 1, make([]float64, 16), make([]float64, 2))
+		},
+		"full": func() {
+			var full PackedCols
+			full.Ensure(16, 1)
+			for i := 0; i < 2; i++ {
+				full.AppendScaledDDotBudget(parallel.FixedBudget(1), make([]float64, 16), nil, 1, nil)
+			}
 		},
 	} {
 		func() {
@@ -248,9 +207,10 @@ func TestPackedColsRangeChecks(t *testing.T) {
 	}
 }
 
-// FuzzAtBPackedEquivalence fuzzes (n, s, t, seed) and asserts the packed
-// kernel is bitwise equal to AtBNaiveInto under serial, parallel, and
-// live budgets with a shared arena — the randomized arm of the
+// FuzzAtBPackedEquivalence fuzzes (n, s, t, seed) over shapes around the
+// PackRows chunk and TileRows tile boundaries and asserts AtBBudget is
+// bitwise equal to the naive oracle under serial, parallel, and live
+// budgets with a shared partials arena — the randomized arm of the
 // adversarial shape table.
 func FuzzAtBPackedEquivalence(f *testing.F) {
 	f.Add(0, 3, 2, int64(1))
@@ -258,7 +218,7 @@ func FuzzAtBPackedEquivalence(f *testing.F) {
 	f.Add(PackRows+1, 8, 8, int64(3))
 	f.Add(TileRows+1, 5, 1, int64(4))
 	f.Add(2*TileRows+317, 9, 3, int64(5))
-	arena := &PackArena{}
+	var partials []float64
 	f.Fuzz(func(t *testing.T, n, s, u int, seed int64) {
 		// Clamp to shapes that stress boundaries without slowing the fuzzer:
 		// rows around a few tiles, columns around the 4×2 micro-kernel tile.
@@ -278,12 +238,15 @@ func FuzzAtBPackedEquivalence(f *testing.F) {
 		a, b := NewDense(n, s), NewDense(n, u)
 		fillRand(a, rng)
 		fillRand(b, rng)
-		ref := AtBNaiveInto(a, b, nil, nil)
+		ref := atbNaive(parallel.FixedBudget(1), a, b, nil, nil)
+		if need := ReduceBlocks(n) * s * u; cap(partials) < need {
+			partials = make([]float64, need)
+		}
 		for _, bud := range []parallel.Budget{parallel.FixedBudget(1), parallel.FixedBudget(3), parallel.Live()} {
-			got := AtBPackedBudget(bud, a, b, nil, nil, arena)
+			got := AtBBudget(bud, a, b, nil, partials)
 			for k := range ref.Data {
 				if got.Data[k] != ref.Data[k] {
-					t.Fatalf("n=%d s=%d t=%d workers=%d: packed[%d] %v != naive %v",
+					t.Fatalf("n=%d s=%d t=%d workers=%d: AtB[%d] %v != naive %v",
 						n, s, u, bud.Workers(), k, got.Data[k], ref.Data[k])
 				}
 			}

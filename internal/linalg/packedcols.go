@@ -5,17 +5,16 @@ import (
 )
 
 // PackedCols is a tile-major store for the kept columns of a panel
-// Gram-Schmidt sweep. The flat arena the sweep previously projected
-// against keeps each kept column n·8 bytes from the next — a power of
-// two at layout sizes, so the eight columns of a panel chunk collide in
-// the same cache sets and each projection pass re-reads them from DRAM.
-// Here every column is split over the fixed ReduceBlocks(n) reduction
+// Gram-Schmidt sweep. A flat arena keeps each kept column n·8 bytes from
+// the next — a power of two at layout sizes, so the eight columns of a
+// panel chunk collide in the same cache sets and each projection pass
+// re-reads them from DRAM. Here every column is split over the fixed ReduceBlocks(n) reduction
 // tiles and stored tile-major: tile t holds all columns' [t·n/tiles,
 // (t+1)·n/tiles) rows contiguously, each column slot padded by
 // packColPad floats so adjacent slots sit a non-power-of-two stride
 // apart and panel chunks stream conflict-free. A column is packed once
-// when it is kept (AppendScaledDDotBudget — the same fused write the
-// flat path performs) and then re-read in packed form by every later
+// when it is kept (AppendScaledDDotBudget — the same fused write as
+// ScaledCopyDDotBudget) and then re-read in packed form by every later
 // projection, so packing costs nothing extra. All three kernels mirror
 // their flat counterparts' per-element accumulation orders exactly, so
 // the packed sweep is bitwise identical to the flat one for every
@@ -70,6 +69,9 @@ func (pc *PackedCols) slot(t, j int) []float64 {
 // combine are ScaledCopyDDotBudget's, so the returned sum is bitwise
 // identical to the flat kernel's for every worker budget.
 func (pc *PackedCols) AppendScaledDDotBudget(bud parallel.Budget, src, d []float64, a float64, partials []float64) float64 {
+	if pc.k == pc.capCols {
+		panic("linalg: PackedCols is full")
+	}
 	j := pc.k
 	pc.k++
 	n, tiles := pc.n, pc.tiles

@@ -17,18 +17,14 @@ import (
 // wider panels would only re-stream columns that no longer fit cache.
 const PanelCols = 8
 
-// DDotPanel appends ⟨cols[j], work⟩_D (plain inner products when d is
-// nil) for every column to out and returns it. The row dimension runs
-// over the fixed TileRows tiling with per-tile partials combined serially
-// in tile order — exactly like DotWith — so results are bitwise identical
-// for every worker budget. partials is the per-tile arena (capacity ≥
-// ReduceBlocks(n)·len(cols), grown when short); out should have spare
-// capacity for len(cols) more entries to keep the call allocation-free.
-func DDotPanel(cols [][]float64, work, d []float64, out, partials []float64) []float64 {
-	return DDotPanelBudget(parallel.Live(), cols, work, d, out, partials)
-}
-
-// DDotPanelBudget is DDotPanel running under an explicit worker budget.
+// DDotPanelBudget appends ⟨cols[j], work⟩_D (plain inner products when
+// d is nil) for every column to out and returns it. The row dimension
+// runs over the fixed TileRows tiling with per-tile partials combined
+// serially in tile order — exactly like DotBudget — so results are
+// bitwise identical for every worker budget. partials is the per-tile
+// arena (capacity ≥ ReduceBlocks(n)·len(cols), grown when short); out
+// should have spare capacity for len(cols) more entries to keep the call
+// allocation-free.
 func DDotPanelBudget(bud parallel.Budget, cols [][]float64, work, d []float64, out, partials []float64) []float64 {
 	k := len(cols)
 	if k == 0 {
@@ -140,17 +136,12 @@ func dDotChunkRange(cols [][]float64, work, d []float64, lo, hi int, acc []float
 	}
 }
 
-// SubtractScaled computes work ← work − Σ_j coeffs[j]·cols[j] with one
-// fused pass per PanelCols-wide chunk: the multi-axpy update of block
-// Gram-Schmidt (and the Level-2 "gemv" update of CGS). Each element of
-// work is updated by exactly one worker, and the per-element combination
-// order is fixed by the chunk walk, so results are deterministic
-// regardless of the row partition.
-func SubtractScaled(work []float64, cols [][]float64, coeffs []float64) {
-	SubtractScaledBudget(parallel.Live(), work, cols, coeffs)
-}
-
-// SubtractScaledBudget is SubtractScaled under an explicit worker budget.
+// SubtractScaledBudget computes work ← work − Σ_j coeffs[j]·cols[j] with
+// one fused pass per PanelCols-wide chunk: the multi-axpy update of
+// block Gram-Schmidt (and the Level-2 "gemv" update of CGS). Each
+// element of work is updated by exactly one worker, and the per-element
+// combination order is fixed by the chunk walk, so results are
+// deterministic regardless of the row partition.
 func SubtractScaledBudget(bud parallel.Budget, work []float64, cols [][]float64, coeffs []float64) {
 	if len(cols) != len(coeffs) {
 		panic("linalg: SubtractScaled column/coefficient mismatch")

@@ -36,17 +36,12 @@ func Dot(x, y []float64) float64 {
 	return dotBlocks(parallel.Live(), x, nil, y, nil)
 }
 
-// DotWith is Dot with a caller-provided partials buffer (capacity ≥
-// ReduceBlocks(n)), so a steady-state caller — e.g. the MGS sweep
-// reusing one buffer across all its inner products — allocates nothing.
-// The tiling and serial combine order are identical to Dot's, so the
-// two produce bitwise-identical sums.
-func DotWith(x, y, partials []float64) float64 {
-	checkLen(len(x), len(y))
-	return dotBlocks(parallel.Live(), x, nil, y, partials)
-}
-
-// DotBudget is DotWith running under an explicit worker budget.
+// DotBudget is Dot running under an explicit worker budget, with a
+// caller-provided partials buffer (capacity ≥ ReduceBlocks(n), grown
+// when short), so a steady-state caller — e.g. the MGS sweep reusing one
+// buffer across all its inner products — allocates nothing. The tiling
+// and serial combine order are identical to Dot's, so the two produce
+// bitwise-identical sums.
 func DotBudget(bud parallel.Budget, x, y, partials []float64) float64 {
 	checkLen(len(x), len(y))
 	return dotBlocks(bud, x, nil, y, partials)
@@ -60,14 +55,8 @@ func DDot(x, d, y []float64) float64 {
 	return dotBlocks(parallel.Live(), x, d, y, nil)
 }
 
-// DDotWith is DDot with a caller-provided partials buffer; see DotWith.
-func DDotWith(x, d, y, partials []float64) float64 {
-	checkLen(len(x), len(y))
-	checkLen(len(x), len(d))
-	return dotBlocks(parallel.Live(), x, d, y, partials)
-}
-
-// DDotBudget is DDotWith running under an explicit worker budget.
+// DDotBudget is DDot under an explicit worker budget and partials
+// buffer; see DotBudget.
 func DDotBudget(bud parallel.Budget, x, d, y, partials []float64) float64 {
 	checkLen(len(x), len(y))
 	checkLen(len(x), len(d))
@@ -111,35 +100,6 @@ func forTiles(bud parallel.Budget, n, tiles int, body func(t, lo, hi int)) {
 			defer wg.Done()
 			for t := w * tiles / p; t < (w+1)*tiles/p; t++ {
 				body(t, t*n/tiles, (t+1)*n/tiles)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// forTilesIndexed is forTiles with the owning worker's index passed to
-// body and the worker count fixed by the caller. The count is snapshotted
-// once — before any worker-indexed arena is sized — so a live budget whose
-// GOMAXPROCS moves mid-call can never fan out across more workers than the
-// arena has slots. Worker w owns the contiguous tile range
-// [w·tiles/p, (w+1)·tiles/p), the same partition forTiles uses.
-func forTilesIndexed(p, n, tiles int, body func(w, t, lo, hi int)) {
-	if p > tiles {
-		p = tiles
-	}
-	if p <= 1 {
-		for t := 0; t < tiles; t++ {
-			body(0, t, t*n/tiles, (t+1)*n/tiles)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for t := w * tiles / p; t < (w+1)*tiles/p; t++ {
-				body(w, t, t*n/tiles, (t+1)*n/tiles)
 			}
 		}(w)
 	}

@@ -4,12 +4,30 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/parallel"
 )
 
-// TestDOrthogonalizeBudgetInvariance: every method produces bitwise
-// identical kept columns, D-norms, and drop sets for worker budgets
-// 1, 2, 4 and the live budget, with and without a degree weighting.
+// sweeps are the DOrtho procedures under test: the production methods
+// and the reference sweeps.
+var sweeps = []struct {
+	name string
+	run  func(bud parallel.Budget, b *linalg.Dense, d []float64, sc *Scratch) Result
+}{
+	{"MGS", func(bud parallel.Budget, b *linalg.Dense, d []float64, sc *Scratch) Result {
+		return DOrthogonalizeBudget(bud, b, d, MGS, sc)
+	}},
+	{"CGS", func(bud parallel.Budget, b *linalg.Dense, d []float64, sc *Scratch) Result {
+		return DOrthogonalizeBudget(bud, b, d, CGS, sc)
+	}},
+	{"MGS-flat", mgsFlat},
+	{"MGS-L1", mgsLevel1},
+}
+
+// TestDOrthogonalizeBudgetInvariance: every method and reference sweep
+// produces bitwise identical kept columns, D-norms, and drop sets for
+// worker budgets 1, 2, 4 and the live budget, with and without a degree
+// weighting.
 func TestDOrthogonalizeBudgetInvariance(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -21,27 +39,27 @@ func TestDOrthogonalizeBudgetInvariance(t *testing.T) {
 		parallel.FixedBudget(4),
 		parallel.Live(),
 	}
-	for _, method := range []Method{MGS, CGS, MGSLevel1, MGSUnpacked} {
+	for _, sw := range sweeps {
 		for _, d := range [][]float64{nil, degrees} {
-			ref := DOrthogonalizeBudget(parallel.FixedBudget(1), randMatrix(n, s, 7), d, method, nil)
+			ref := sw.run(parallel.FixedBudget(1), randMatrix(n, s, 7), d, nil)
 			for _, bud := range budgets {
-				got := DOrthogonalizeBudget(bud, randMatrix(n, s, 7), d, method, nil)
+				got := sw.run(bud, randMatrix(n, s, 7), d, nil)
 				if len(got.Kept) != len(ref.Kept) || got.Dropped != ref.Dropped {
 					t.Fatalf("%v workers=%d: kept %d/dropped %d, want %d/%d",
-						method, bud.Workers(), len(got.Kept), got.Dropped, len(ref.Kept), ref.Dropped)
+						sw.name, bud.Workers(), len(got.Kept), got.Dropped, len(ref.Kept), ref.Dropped)
 				}
 				for j, k := range ref.Kept {
 					if got.Kept[j] != k {
-						t.Fatalf("%v workers=%d: Kept[%d] = %d, want %d", method, bud.Workers(), j, got.Kept[j], k)
+						t.Fatalf("%v workers=%d: Kept[%d] = %d, want %d", sw.name, bud.Workers(), j, got.Kept[j], k)
 					}
 					if got.DNorms[j] != ref.DNorms[j] {
-						t.Fatalf("%v workers=%d: DNorms[%d] %v != %v", method, bud.Workers(), j, got.DNorms[j], ref.DNorms[j])
+						t.Fatalf("%v workers=%d: DNorms[%d] %v != %v", sw.name, bud.Workers(), j, got.DNorms[j], ref.DNorms[j])
 					}
 				}
 				for k := range ref.S.Data {
 					if got.S.Data[k] != ref.S.Data[k] {
 						t.Fatalf("%v d=%v workers=%d: S.Data[%d] diverged: %v != %v",
-							method, d != nil, bud.Workers(), k, got.S.Data[k], ref.S.Data[k])
+							sw.name, d != nil, bud.Workers(), k, got.S.Data[k], ref.S.Data[k])
 					}
 				}
 			}
@@ -49,12 +67,13 @@ func TestDOrthogonalizeBudgetInvariance(t *testing.T) {
 	}
 }
 
-// TestMGSPackedMatchesUnpackedSharedScratch: the packed MGS sweep (the
-// default) and the flat-arena MGSUnpacked sweep produce bitwise
+// TestMGSPackedMatchesUnpackedSharedScratch: the production MGS sweep
+// over the packed store and the flat-arena oracle produce bitwise
 // identical results while alternating mid-run over one shared pooled
 // scratch across worker budgets — the reuse pattern a workspace-backed
 // job worker produces, and the one where stale packed state or a
-// misrouted arena would surface.
+// misrouted arena would surface. CGS, which keeps its columns in the
+// flat arena, runs through the same scratch between them.
 func TestMGSPackedMatchesUnpackedSharedScratch(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -63,15 +82,28 @@ func TestMGSPackedMatchesUnpackedSharedScratch(t *testing.T) {
 	sc := NewScratch(n, s)
 	for _, d := range [][]float64{nil, degrees} {
 		// Non-pooled reference: fresh storage, nothing aliased.
-		ref := DOrthogonalizeBudget(parallel.FixedBudget(1), randMatrix(n, s, 7), d, MGSUnpacked, nil)
+		ref := mgsFlat(parallel.FixedBudget(1), randMatrix(n, s, 7), d, nil)
+		cgsRef := DOrthogonalizeBudget(parallel.FixedBudget(1), randMatrix(n, s, 7), d, CGS, nil)
 		for _, bud := range []parallel.Budget{
 			parallel.FixedBudget(1),
 			parallel.FixedBudget(2),
 			parallel.FixedBudget(4),
 			parallel.Live(),
 		} {
-			for _, method := range []Method{MGS, MGSUnpacked, MGS} {
-				got := DOrthogonalizeBudget(bud, randMatrix(n, s, 7), d, method, sc)
+			for _, method := range []string{"MGS", "MGS-flat", "CGS", "MGS"} {
+				var got Result
+				switch method {
+				case "MGS":
+					got = DOrthogonalizeBudget(bud, randMatrix(n, s, 7), d, MGS, sc)
+				case "MGS-flat":
+					got = mgsFlat(bud, randMatrix(n, s, 7), d, sc)
+				case "CGS":
+					got = DOrthogonalizeBudget(bud, randMatrix(n, s, 7), d, CGS, sc)
+					if got.Dropped != cgsRef.Dropped || !equalFloats(got.S.Data, cgsRef.S.Data) || !equalFloats(got.DNorms, cgsRef.DNorms) {
+						t.Fatalf("CGS workers=%d d=%v: diverged from the fresh-scratch run", bud.Workers(), d != nil)
+					}
+					continue
+				}
 				if len(got.Kept) != len(ref.Kept) || got.Dropped != ref.Dropped {
 					t.Fatalf("%v workers=%d: kept %d/dropped %d, want %d/%d",
 						method, bud.Workers(), len(got.Kept), got.Dropped, len(ref.Kept), ref.Dropped)
@@ -101,7 +133,7 @@ func TestIncrementalBudgetInvariance(t *testing.T) {
 	n, s := 9000, 8
 	degrees := randDegrees(n, 5)
 	run := func(bud parallel.Budget, d []float64) *Incremental {
-		inc := NewIncrementalBudget(bud, n, d, nil)
+		inc := NewIncrementalBudget(bud, n, s, d, nil)
 		for j := 0; j < s; j++ {
 			inc.Add(randMatrix(n, 1, int64(20+j)).Col(0))
 		}
@@ -128,4 +160,16 @@ func TestIncrementalBudgetInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+func equalFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -7,73 +7,67 @@ import (
 	"repro/internal/parallel"
 )
 
-// Incremental performs Modified Gram-Schmidt one column at a time, so the
-// BFS phase and the DOrtho phase can be coupled: each distance vector is
-// orthogonalized (and either kept or dropped) as soon as its traversal
-// finishes, and the raw O(sn) distance matrix never needs to be stored.
-// §4.4 notes this is exactly the capability CGS gives up ("the use of CGS
-// requires all distance vectors to be precomputed… whereas the default
-// procedure can also be executed with a coupled BFS and
-// D-orthogonalization steps").
+// Incremental performs panel-blocked Modified Gram-Schmidt one column at
+// a time, so the BFS phase and the DOrtho phase can be coupled: each
+// distance vector is orthogonalized (and either kept or dropped) as soon
+// as its traversal finishes, and the raw O(sn) distance matrix never
+// needs to be stored. §4.4 notes this is exactly the capability CGS gives
+// up ("the use of CGS requires all distance vectors to be precomputed…
+// whereas the default procedure can also be executed with a coupled BFS
+// and D-orthogonalization steps"). The batch MGS sweep of
+// DOrthogonalizeBudget is a loop of Add, so coupled and decoupled runs
+// are bitwise identical by construction.
+//
+// Kept columns live in the scratch's tile-major packed store: each is
+// packed once, by the fused scale-copy-D-norm write that keeps it, and
+// every later projection streams it from padded cache-resident tile
+// slots instead of n-strided flat columns.
 type Incremental struct {
 	n       int
 	d       []float64 // nil = plain orthogonalization
 	bud     parallel.Budget
 	sc      *Scratch
-	pooled  bool
-	kept    [][]float64
+	pk      *linalg.PackedCols
 	keptDN  []float64
 	keptIdx []int
 	dropped int
 	seen    int
 }
 
-// NewIncremental starts a coupled orthogonalization over length-n vectors
-// with D-inner products diag(d) (nil for plain inner products). The
-// constant direction 1/√n is pre-seeded, exactly as in DOrthogonalize.
-func NewIncremental(n int, d []float64) *Incremental {
-	return NewIncrementalScratch(n, d, nil)
+// NewIncrementalBudget starts a coupled orthogonalization of up to s
+// length-n vectors with D-inner products diag(d) (nil for plain inner
+// products), running over sc's buffers (nil allocates private scratch).
+// The constant direction 1/√n is pre-seeded. Storage for all s columns
+// is sized here, so Add never grows it; with a pooled scratch the whole
+// coupled DOrtho phase performs no O(n)-sized allocations and Result
+// aliases scratch storage (valid until the scratch's next use). Every
+// Add reuses bud, so the orthogonalization fan-out is pinned for the
+// whole run.
+func NewIncrementalBudget(bud parallel.Budget, n, s int, d []float64, sc *Scratch) *Incremental {
+	inc := newIncremental(bud, n, s, d, sc)
+	return &inc
 }
 
-// NewIncrementalScratch is NewIncremental running over sc's pooled
-// buffers (nil allocates private scratch). The scratch bounds the column
-// count: at most sc's s columns can be kept; columns added beyond that
-// capacity grow the scratch. With a scratch the whole coupled DOrtho
-// phase performs no O(n)-sized allocations and Result aliases scratch
-// storage (valid until the scratch's next use).
-func NewIncrementalScratch(n int, d []float64, sc *Scratch) *Incremental {
-	return NewIncrementalBudget(parallel.Live(), n, d, sc)
-}
-
-// NewIncrementalBudget is NewIncrementalScratch running under an explicit
-// worker budget; every Add reuses the same budget, so a coupled layout's
-// orthogonalization fan-out is pinned for the whole run.
-func NewIncrementalBudget(bud parallel.Budget, n int, d []float64, sc *Scratch) *Incremental {
-	pooled := sc != nil
-	if !pooled {
-		// Start with room for a handful of columns; Add grows on demand.
-		sc = NewScratch(n, 8)
+// newIncremental is NewIncrementalBudget by value, so the batch sweep
+// keeps its Incremental on the stack.
+func newIncremental(bud parallel.Budget, n, s int, d []float64, sc *Scratch) Incremental {
+	if sc == nil {
+		sc = NewScratch(n, s)
 	} else {
-		cols := sc.s
-		if cols < 1 {
-			cols = 1
-		}
-		sc.Ensure(n, cols)
+		sc.Ensure(n, s)
 	}
-	// The coupled sweep projects against the flat arena: it stays bitwise
-	// identical to the packed batch path (both mirror projectPanels), and
-	// the flat columns are what the per-pivot Add hands out.
-	sc.ensureCols()
-	s0 := sc.cols[0]
-	linalg.FillBudget(bud, s0, 1/math.Sqrt(float64(n)))
-	return &Incremental{
+	pk := sc.ensurePacked()
+	// s0 = 1/√n, packed through the fused append (a·1.0 reproduces the
+	// fill value exactly, and the append's D-norm pass is bitwise
+	// dNormP).
+	linalg.FillBudget(bud, sc.work, 1/math.Sqrt(float64(n)))
+	return Incremental{
 		n:       n,
 		d:       d,
 		bud:     bud,
 		sc:      sc,
-		pooled:  pooled,
-		kept:    sc.cols[:1],
-		keptDN:  append(sc.dNorms[:0], dNormP(bud, s0, d, sc.partials)),
+		pk:      pk,
+		keptDN:  append(sc.dNorms[:0], pk.AppendScaledDDotBudget(bud, sc.work, d, 1, sc.partials)),
 		keptIdx: sc.keptIdx[:0],
 	}
 }
@@ -87,69 +81,50 @@ func (inc *Incremental) Add(col []float64) bool {
 	}
 	idx := inc.seen
 	inc.seen++
-	if len(inc.kept) == len(inc.sc.cols) {
-		inc.grow()
-	}
-	sc := inc.sc
+	sc, bud, pk := inc.sc, inc.bud, inc.pk
 	work := sc.work
-	nrm := norm2P(inc.bud, col, sc.partials)
+	// Pre-normalize so the drop tolerance is scale-free (Algorithm 1
+	// normalizes each column before orthogonalizing).
+	nrm := norm2P(bud, col, sc.partials)
 	if nrm <= DropTolerance {
 		inc.dropped++
 		return false
 	}
-	linalg.ScaledCopyBudget(inc.bud, work, col, 1/nrm)
-	// The same panel-blocked projection sweep as the batch MGS path, so
-	// coupled and decoupled runs stay bitwise identical.
-	sc.coeffs = projectPanels(inc.bud, inc.kept, inc.keptDN, work, inc.d, sc.coeffs[:0], sc)
-	res := norm2P(inc.bud, work, sc.partials)
+	linalg.ScaledCopyBudget(bud, work, col, 1/nrm)
+	// One fused multi-dot and one fused multi-axpy per PanelCols-wide
+	// panel of kept columns.
+	coeffs := sc.coeffs[:0]
+	k := pk.Len()
+	for p0 := 0; p0 < k; p0 += linalg.PanelCols {
+		p1 := min(p0+linalg.PanelCols, k)
+		coeffs = pk.DDotPanelRangeBudget(bud, p0, p1, work, inc.d, coeffs[:0], sc.panelPartials)
+		for j := range coeffs {
+			coeffs[j] /= inc.keptDN[p0+j]
+		}
+		pk.SubtractScaledRangeBudget(bud, p0, p1, work, coeffs)
+	}
+	sc.coeffs = coeffs[:0]
+	res := norm2P(bud, work, sc.partials)
 	if res <= DropTolerance {
 		inc.dropped++
 		return false
 	}
-	out := sc.cols[len(inc.kept)]
-	dn := linalg.ScaledCopyDDotBudget(inc.bud, out, work, inc.d, 1/res, sc.partials)
-	inc.kept = sc.cols[:len(inc.kept)+1]
-	inc.keptDN = append(inc.keptDN, dn)
+	// Keep: normalize into the packed store and compute the D-norm in the
+	// same fused pass.
+	inc.keptDN = append(inc.keptDN, pk.AppendScaledDDotBudget(bud, work, inc.d, 1/res, sc.partials))
 	inc.keptIdx = append(inc.keptIdx, idx)
 	return true
 }
 
-// grow doubles the scratch's column capacity, preserving kept columns
-// (only reachable on the private-scratch path or when more columns are
-// added than the pooled scratch was shaped for).
-func (inc *Incremental) grow() {
-	ns := inc.sc.s * 2
-	if ns < 4 {
-		ns = 4
-	}
-	sc := NewScratch(inc.n, ns)
-	sc.ensureCols()
-	for j := range inc.kept {
-		linalg.CopyVecBudget(inc.bud, sc.cols[j], inc.kept[j])
-	}
-	sc.dNorms = append(sc.dNorms[:0], inc.keptDN...)
-	sc.keptIdx = append(sc.keptIdx[:0], inc.keptIdx...)
-	inc.kept = sc.cols[:len(inc.kept)]
-	inc.keptDN = sc.dNorms
-	inc.keptIdx = sc.keptIdx
-	inc.sc = sc
-}
-
-// Result packages the kept columns (constant column excluded) in the same
-// form DOrthogonalize returns. The Incremental must not be used after.
+// Result packages the kept columns (constant column excluded) as a
+// Result aliasing the scratch's output storage. The Incremental must not
+// be used after.
 func (inc *Incremental) Result() Result {
-	inc.sc.dNorms, inc.sc.keptIdx = inc.keptDN[:0], inc.keptIdx[:0]
-	if inc.pooled {
-		return inc.sc.result(inc.kept, inc.keptDN, inc.keptIdx, inc.dropped)
-	}
-	out := linalg.NewDense(inc.n, len(inc.keptIdx))
+	sc := inc.sc
+	sc.dNorms, sc.keptIdx = inc.keptDN[:0], inc.keptIdx[:0]
+	out := linalg.ViewDense(sc.sOut.Data, inc.n, len(inc.keptIdx))
 	for j := range inc.keptIdx {
-		linalg.CopyVec(out.Col(j), inc.kept[j+1])
+		inc.pk.CopyColIntoBudget(inc.bud, out.Col(j), j+1) // skip the constant column
 	}
-	return Result{
-		S:       out,
-		DNorms:  append([]float64(nil), inc.keptDN[1:]...),
-		Kept:    append([]int(nil), inc.keptIdx...),
-		Dropped: inc.dropped,
-	}
+	return Result{S: out, DNorms: inc.keptDN[1:], Kept: inc.keptIdx, Dropped: inc.dropped}
 }

@@ -1,13 +1,14 @@
 // Package ortho implements the DOrtho phase of ParHDE: Gram-Schmidt-style
 // (D-)orthogonalization of the BFS distance vectors against the constant
 // vector and each other, with near-linearly-dependent columns dropped
-// (ICPP'20 Algorithm 3, lines 9-16). Three procedures are provided. The
+// (ICPP'20 Algorithm 3, lines 9-16). Two procedures are provided. The
 // default, MGS, is panel-blocked Gram-Schmidt: the candidate column is
 // projected against the kept columns one PanelCols-wide panel at a time,
 // each panel costing one fused multi-dot pass and one fused multi-axpy
-// pass instead of a dot/axpy pair per column — the bandwidth-lean
-// formulation of the paper's Level-1 procedure. MGSLevel1 keeps the
-// original column-at-a-time sweep as the reference/ablation baseline.
+// pass over a cache-resident tile-major store of the kept columns
+// (linalg.PackedCols) — the bandwidth-lean formulation of the paper's
+// Level-1 procedure. The batch sweep is a loop of Incremental.Add, so a
+// coupled BFS+DOrtho run and a decoupled run execute the same sweep.
 // CGS is Classical Gram-Schmidt organized as Level-2 matrix-vector
 // products (Table 7), which trades numerical robustness for the fewest
 // synchronization points.
@@ -35,30 +36,13 @@ const (
 	// column are computed from the original column at once (Level-2 BLAS),
 	// requiring all distance vectors to be precomputed.
 	CGS
-	// MGSLevel1 is the unblocked Modified Gram-Schmidt of the original
-	// implementation: each kept column costs a separate dot and axpy pass
-	// (Level-1 BLAS only). Kept as the numerical reference and as the
-	// baseline the kernel-budget perf gate measures panel MGS against.
-	MGSLevel1
-	// MGSUnpacked is panel-blocked MGS projecting against the flat
-	// kept-column arena — the pre-packing formulation, kept as the
-	// ablation baseline the packed perf gate measures MGS against.
-	// Bitwise identical to MGS, which runs the same sweep out of the
-	// cache-resident tile-major store.
-	MGSUnpacked
 )
 
 func (m Method) String() string {
-	switch m {
-	case CGS:
+	if m == CGS {
 		return "CGS"
-	case MGSLevel1:
-		return "MGS-L1"
-	case MGSUnpacked:
-		return "MGS-flat"
-	default:
-		return "MGS"
 	}
+	return "MGS"
 }
 
 // DropTolerance is the residual-norm threshold below which a column is
@@ -81,39 +65,41 @@ type Result struct {
 	Dropped int
 }
 
-// DOrthogonalize orthogonalizes the columns of b against 1/√n and each
-// other under the D-inner product ⟨x,y⟩_D = xᵀdiag(d)y. Passing d == nil
-// selects the plain orthogonalization variant of §4.5.1 (approximating
-// Laplacian rather than degree-normalized eigenvectors). b is not
-// modified.
-func DOrthogonalize(b *linalg.Dense, d []float64, method Method) Result {
-	return DOrthogonalizeScratch(b, d, method, nil)
-}
-
-// DOrthogonalizeScratch is DOrthogonalize running over sc's pooled
-// buffers (nil allocates private scratch, equivalent to DOrthogonalize).
-// With a scratch, the phase performs no O(n)-sized allocations and the
-// returned Result aliases scratch storage: it is valid only until the
-// scratch's next use and the numbers are bit-identical to the
-// fresh-allocation run.
-func DOrthogonalizeScratch(b *linalg.Dense, d []float64, method Method, sc *Scratch) Result {
-	return DOrthogonalizeBudget(parallel.Live(), b, d, method, sc)
-}
-
-// DOrthogonalizeBudget is DOrthogonalizeScratch running under an explicit
-// worker budget. The budget only sets how many goroutines each kernel
-// fans out across; the fixed row tiling of every reduction makes the
-// numbers bitwise identical for every budget, including the serial path.
+// DOrthogonalizeBudget orthogonalizes the columns of b against 1/√n and
+// each other under the D-inner product ⟨x,y⟩_D = xᵀdiag(d)y. Passing
+// d == nil selects the plain orthogonalization variant of §4.5.1
+// (approximating Laplacian rather than degree-normalized eigenvectors).
+// b is not modified.
+//
+// The sweep runs over sc's buffers (nil allocates private scratch); the
+// returned Result aliases that scratch, so with a pooled scratch it is
+// valid only until the scratch's next use, and the phase performs no
+// O(n)-sized allocations. The budget only sets how many goroutines each
+// kernel fans out across; the fixed row tiling of every reduction makes
+// the numbers bitwise identical for every budget, including the serial
+// path.
 func DOrthogonalizeBudget(bud parallel.Budget, b *linalg.Dense, d []float64, method Method, sc *Scratch) Result {
-	n, s := b.Rows, b.Cols
-	pooled := sc != nil
-	if pooled {
-		sc.Ensure(n, s)
-	} else {
-		sc = NewScratch(n, s)
+	if method == CGS {
+		return cgs(bud, b, d, sc)
 	}
-	if method == MGS {
-		return dOrthoPacked(bud, b, d, sc, pooled)
+	inc := newIncremental(bud, b.Rows, b.Cols, d, sc)
+	for i := 0; i < b.Cols; i++ {
+		inc.Add(b.Col(i))
+	}
+	return inc.Result()
+}
+
+// cgs is the Classical Gram-Schmidt sweep over the scratch's flat
+// kept-column arena: every coefficient of a column comes from the
+// pre-projection vector in one multi-dot over all kept columns, followed
+// by one combined update — two sweeps over memory per column, versus a
+// sweep pair per panel for MGS.
+func cgs(bud parallel.Budget, b *linalg.Dense, d []float64, sc *Scratch) Result {
+	n, s := b.Rows, b.Cols
+	if sc == nil {
+		sc = NewScratch(n, s)
+	} else {
+		sc.Ensure(n, s)
 	}
 	sc.ensureCols()
 	// s0 = 1/√n: the degenerate direction every column must be cleaned of.
@@ -139,26 +125,11 @@ func DOrthogonalizeBudget(bud parallel.Budget, b *linalg.Dense, d []float64, met
 			continue
 		}
 		linalg.ScaledCopyBudget(bud, work, src, 1/nrm)
-		switch method {
-		case CGS:
-			// All coefficients from the original vector at once, then one
-			// combined update — the Level-2 formulation of Table 7. Two
-			// sweeps over memory total, versus a sweep pair per panel.
-			coeffs = linalg.DDotPanelBudget(bud, kept, work, d, coeffs[:0], sc.panelPartials)
-			for j := range coeffs {
-				coeffs[j] /= keptDN[j]
-			}
-			linalg.SubtractScaledBudget(bud, work, kept, coeffs)
-		case MGSLevel1:
-			// The original Level-1 sweep: every D-inner product reuses one
-			// partials buffer, so the s² dots of the phase allocate nothing.
-			for j := range kept {
-				c := dDotP(bud, kept[j], work, d, sc.partials) / keptDN[j]
-				linalg.AxpyBudget(bud, -c, kept[j], work)
-			}
-		default:
-			coeffs = projectPanels(bud, kept, keptDN, work, d, coeffs, sc)
+		coeffs = linalg.DDotPanelBudget(bud, kept, work, d, coeffs[:0], sc.panelPartials)
+		for j := range coeffs {
+			coeffs[j] /= keptDN[j]
 		}
+		linalg.SubtractScaledBudget(bud, work, kept, coeffs)
 		res := norm2P(bud, work, sc.partials)
 		if res <= DropTolerance {
 			dropped++
@@ -174,122 +145,11 @@ func DOrthogonalizeBudget(bud parallel.Budget, b *linalg.Dense, d []float64, met
 	}
 	sc.dNorms, sc.keptIdx, sc.coeffs = keptDN[:0], keptIdx[:0], coeffs[:0]
 
-	if pooled {
-		return sc.result(kept, keptDN, keptIdx, dropped)
-	}
-	out := linalg.NewDense(n, len(keptIdx))
-	for j := 0; j < len(keptIdx); j++ {
-		linalg.CopyVec(out.Col(j), kept[j+1]) // skip the constant column
-	}
-	return Result{
-		S:       out,
-		DNorms:  append([]float64(nil), keptDN[1:]...),
-		Kept:    append([]int(nil), keptIdx...),
-		Dropped: dropped,
-	}
-}
-
-// dOrthoPacked is the default MGS sweep running against the scratch's
-// tile-major packed kept-column store instead of the flat arena: each
-// kept column is packed once when it survives (the same fused
-// scale-copy-D-norm write the flat path performs) and every later panel
-// projection streams it from padded cache-resident tile slots, so the
-// sweep's dominant re-read traffic stops aliasing on the power-of-two
-// column strides of layout-sized problems. Every kernel mirrors its
-// flat counterpart's tiling and per-element accumulation order, so the
-// packed sweep is bitwise identical to MGSUnpacked (and to the MGS
-// results of every release before packing) for every worker budget.
-func dOrthoPacked(bud parallel.Budget, b *linalg.Dense, d []float64, sc *Scratch, pooled bool) Result {
-	n, s := b.Rows, b.Cols
-	pk := sc.ensurePacked()
-	work := sc.work
-	// s0 = 1/√n: packed via the fused append (a·1.0 reproduces the flat
-	// fill's value exactly, and the append's D-norm pass is bitwise
-	// dNormP).
-	linalg.FillBudget(bud, work, 1/math.Sqrt(float64(n)))
-	keptDN := append(sc.dNorms[:0], pk.AppendScaledDDotBudget(bud, work, d, 1, sc.partials))
-	keptIdx := sc.keptIdx[:0]
-
-	coeffs := sc.coeffs[:0]
-	dropped := 0
-	for i := 0; i < s; i++ {
-		src := b.Col(i)
-		nrm := norm2P(bud, src, sc.partials)
-		if nrm <= DropTolerance {
-			dropped++
-			continue
-		}
-		linalg.ScaledCopyBudget(bud, work, src, 1/nrm)
-		coeffs = projectPanelsPacked(bud, pk, keptDN, work, d, coeffs, sc)
-		res := norm2P(bud, work, sc.partials)
-		if res <= DropTolerance {
-			dropped++
-			continue
-		}
-		// Keep: normalize into the packed store and compute the D-norm in
-		// the same fused pass.
-		dn := pk.AppendScaledDDotBudget(bud, work, d, 1/res, sc.partials)
-		keptDN = append(keptDN, dn)
-		keptIdx = append(keptIdx, i)
-	}
-	sc.dNorms, sc.keptIdx, sc.coeffs = keptDN[:0], keptIdx[:0], coeffs[:0]
-
-	if pooled {
-		return sc.resultPacked(bud, pk, keptDN, keptIdx, dropped)
-	}
-	out := linalg.NewDense(n, len(keptIdx))
+	out := linalg.ViewDense(sc.sOut.Data, n, len(keptIdx))
 	for j := range keptIdx {
-		pk.CopyColIntoBudget(bud, out.Col(j), j+1) // skip the constant column
+		linalg.CopyVecBudget(bud, out.Col(j), kept[j+1]) // skip the constant column
 	}
-	return Result{
-		S:       out,
-		DNorms:  append([]float64(nil), keptDN[1:]...),
-		Kept:    append([]int(nil), keptIdx...),
-		Dropped: dropped,
-	}
-}
-
-// projectPanelsPacked is projectPanels against the packed store: the
-// same PanelCols-wide panel walk with one fused multi-dot and one fused
-// multi-axpy per panel, reading the kept columns from their tile slots.
-// Panel boundaries, chunk shapes, and accumulation orders match
-// projectPanels exactly, so the two are bitwise interchangeable.
-func projectPanelsPacked(bud parallel.Budget, pk *linalg.PackedCols, keptDN []float64, work, d, coeffs []float64, sc *Scratch) []float64 {
-	k := pk.Len()
-	for p0 := 0; p0 < k; p0 += linalg.PanelCols {
-		p1 := p0 + linalg.PanelCols
-		if p1 > k {
-			p1 = k
-		}
-		coeffs = pk.DDotPanelRangeBudget(bud, p0, p1, work, d, coeffs[:0], sc.panelPartials)
-		for j := range coeffs {
-			coeffs[j] /= keptDN[p0+j]
-		}
-		pk.SubtractScaledRangeBudget(bud, p0, p1, work, coeffs)
-	}
-	return coeffs
-}
-
-// projectPanels removes work's components along the kept columns with
-// panel-blocked Gram-Schmidt: for each PanelCols-wide panel, one fused
-// multi-dot pass yields the panel's coefficients and one fused multi-axpy
-// applies the combined update. Both DOrthogonalizeScratch and the coupled
-// Incremental route through this function, so the two paths stay bitwise
-// identical. Returns the (reusable) coefficient slice.
-func projectPanels(bud parallel.Budget, kept [][]float64, keptDN []float64, work, d, coeffs []float64, sc *Scratch) []float64 {
-	for p0 := 0; p0 < len(kept); p0 += linalg.PanelCols {
-		p1 := p0 + linalg.PanelCols
-		if p1 > len(kept) {
-			p1 = len(kept)
-		}
-		panel := kept[p0:p1]
-		coeffs = linalg.DDotPanelBudget(bud, panel, work, d, coeffs[:0], sc.panelPartials)
-		for j := range coeffs {
-			coeffs[j] /= keptDN[p0+j]
-		}
-		linalg.SubtractScaledBudget(bud, work, panel, coeffs)
-	}
-	return coeffs
+	return Result{S: out, DNorms: keptDN[1:], Kept: keptIdx, Dropped: dropped}
 }
 
 // dDotP computes ⟨x,y⟩ or ⟨x,y⟩_D reusing the given reduction-partials

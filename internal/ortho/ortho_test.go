@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 )
 
 func randMatrix(n, s int, seed int64) *linalg.Dense {
@@ -77,7 +78,7 @@ func checkDOrthogonal(t *testing.T, res Result, d []float64, method Method) {
 
 func TestMGSPlainOrthonormal(t *testing.T) {
 	b := randMatrix(2000, 8, 1)
-	res := DOrthogonalize(b, nil, MGS)
+	res := orthogonalize(b, nil, MGS)
 	if res.S.Cols != 8 || res.Dropped != 0 {
 		t.Fatalf("kept %d dropped %d", res.S.Cols, res.Dropped)
 	}
@@ -87,14 +88,14 @@ func TestMGSPlainOrthonormal(t *testing.T) {
 func TestMGSWeightedDOrthogonal(t *testing.T) {
 	b := randMatrix(2000, 8, 2)
 	d := randDegrees(2000, 3)
-	res := DOrthogonalize(b, d, MGS)
+	res := orthogonalize(b, d, MGS)
 	checkDOrthogonal(t, res, d, MGS)
 }
 
 func TestCGSWeightedDOrthogonal(t *testing.T) {
 	b := randMatrix(2000, 8, 4)
 	d := randDegrees(2000, 5)
-	res := DOrthogonalize(b, d, CGS)
+	res := orthogonalize(b, d, CGS)
 	checkDOrthogonal(t, res, d, CGS)
 }
 
@@ -107,7 +108,7 @@ func TestDropsDependentColumns(t *testing.T) {
 		c2[i] = 2*c0[i] + 3*c1[i]
 	}
 	for _, method := range []Method{MGS, CGS} {
-		res := DOrthogonalize(b, nil, method)
+		res := orthogonalize(b, nil, method)
 		if res.Dropped != 1 {
 			t.Fatalf("%v: dropped %d, want 1", method, res.Dropped)
 		}
@@ -127,7 +128,7 @@ func TestDropsConstantColumn(t *testing.T) {
 	// the "degenerate vector" of Algorithm 3 line 16.
 	b := randMatrix(500, 3, 7)
 	linalg.Fill(b.Col(1), 42)
-	res := DOrthogonalize(b, nil, MGS)
+	res := orthogonalize(b, nil, MGS)
 	if res.Dropped != 1 || res.S.Cols != 2 {
 		t.Fatalf("dropped %d kept %d", res.Dropped, res.S.Cols)
 	}
@@ -136,7 +137,7 @@ func TestDropsConstantColumn(t *testing.T) {
 func TestDropsZeroColumn(t *testing.T) {
 	b := randMatrix(500, 3, 8)
 	linalg.Fill(b.Col(0), 0)
-	res := DOrthogonalize(b, nil, MGS)
+	res := orthogonalize(b, nil, MGS)
 	if res.Dropped != 1 || res.S.Cols != 2 {
 		t.Fatalf("dropped %d kept %d", res.Dropped, res.S.Cols)
 	}
@@ -148,8 +149,8 @@ func TestCGSAndMGSSpanSameSubspace(t *testing.T) {
 	// projecting onto the other basis reproduces the vector.
 	b := randMatrix(1500, 6, 9)
 	d := randDegrees(1500, 10)
-	mgs := DOrthogonalize(b, d, MGS)
-	cgs := DOrthogonalize(b, d, CGS)
+	mgs := orthogonalize(b, d, MGS)
+	cgs := orthogonalize(b, d, CGS)
 	if mgs.S.Cols != cgs.S.Cols {
 		t.Fatalf("kept mismatch: %d vs %d", mgs.S.Cols, cgs.S.Cols)
 	}
@@ -171,7 +172,7 @@ func TestCGSAndMGSSpanSameSubspace(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	b := linalg.NewDense(100, 0)
-	res := DOrthogonalize(b, nil, MGS)
+	res := orthogonalize(b, nil, MGS)
 	if res.S.Cols != 0 || res.Dropped != 0 {
 		t.Fatalf("empty input: kept %d dropped %d", res.S.Cols, res.Dropped)
 	}
@@ -186,8 +187,8 @@ func TestMethodString(t *testing.T) {
 func TestIncrementalMatchesBatchMGS(t *testing.T) {
 	b := randMatrix(1500, 7, 11)
 	d := randDegrees(1500, 12)
-	batch := DOrthogonalize(b, d, MGS)
-	inc := NewIncremental(1500, d)
+	batch := orthogonalize(b, d, MGS)
+	inc := NewIncrementalBudget(parallel.Live(), 1500, b.Cols, d, nil)
 	for j := 0; j < b.Cols; j++ {
 		inc.Add(b.Col(j))
 	}
@@ -213,7 +214,7 @@ func TestIncrementalMatchesBatchMGS(t *testing.T) {
 }
 
 func TestIncrementalDropsAndPanics(t *testing.T) {
-	inc := NewIncremental(100, nil)
+	inc := NewIncrementalBudget(parallel.Live(), 100, 3, nil, nil)
 	col := make([]float64, 100)
 	for i := range col {
 		col[i] = float64(i)
@@ -232,17 +233,28 @@ func TestIncrementalDropsAndPanics(t *testing.T) {
 	if res.S.Cols != 1 || res.Dropped != 2 || res.Kept[0] != 0 {
 		t.Fatalf("result %+v", res)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dimension mismatch")
-		}
-	}()
-	NewIncremental(10, nil).Add(make([]float64, 5))
+	for name, f := range map[string]func(){
+		"dimension mismatch": func() { NewIncrementalBudget(parallel.Live(), 10, 1, nil, nil).Add(make([]float64, 5)) },
+		"more columns kept than sized for": func() {
+			full := NewIncrementalBudget(parallel.Live(), 100, 1, nil, nil)
+			full.Add(col)
+			full.Add(randMatrix(100, 1, 5).Col(0))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic on %s", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 // TestPanelMGSMatchesLevel1 is the panel-blocking property test: panel
 // MGS must keep and drop exactly the same columns as the unblocked
-// Level-1 sweep and produce the same orthonormal basis to within float
+// Level-1 oracle and produce the same orthonormal basis to within float
 // tolerance, across adversarial widths (s below, at, and past PanelCols
 // boundaries, including s=0 and s=1) with and without the D weighting.
 // Panel widths alter the projection summation order, so the comparison is
@@ -256,8 +268,8 @@ func TestPanelMGSMatchesLevel1(t *testing.T) {
 			}
 			b := randMatrix(n, s, int64(101*n+s))
 			for _, d := range [][]float64{nil, randDegrees(n, int64(7*n+s))} {
-				panel := DOrthogonalize(b, d, MGS)
-				l1 := DOrthogonalize(b, d, MGSLevel1)
+				panel := orthogonalize(b, d, MGS)
+				l1 := mgsLevel1(parallel.Live(), b, d, nil)
 				if len(panel.Kept) != len(l1.Kept) || panel.Dropped != l1.Dropped {
 					t.Fatalf("n=%d s=%d d=%v: panel kept/dropped %d/%d, level-1 %d/%d",
 						n, s, d != nil, len(panel.Kept), panel.Dropped, len(l1.Kept), l1.Dropped)
@@ -295,8 +307,8 @@ func TestPanelMGSDegenerateColumns(t *testing.T) {
 	linalg.Fill(b.Col(6), 3.25) // constant column (parallel to s0)
 	copy(b.Col(8), b.Col(1))    // another duplicate
 	d := randDegrees(n, 4)
-	panel := DOrthogonalize(b, d, MGS)
-	l1 := DOrthogonalize(b, d, MGSLevel1)
+	panel := orthogonalize(b, d, MGS)
+	l1 := mgsLevel1(parallel.Live(), b, d, nil)
 	if panel.Dropped != 4 || l1.Dropped != 4 {
 		t.Fatalf("dropped %d (panel) / %d (level-1), want 4", panel.Dropped, l1.Dropped)
 	}

@@ -198,32 +198,32 @@ func TestRandomMSPhaseDistancesCorrect(t *testing.T) {
 	}
 }
 
-func TestRandomMSForceTopDownMatchesDefault(t *testing.T) {
-	// bfs.Options flow through to the multi-source engine: ForceTopDown
-	// must keep columns bitwise identical while running zero bottom-up
-	// steps — the per-phase ablation switch.
+func TestRandomMSDirectionOptionsMatchDefault(t *testing.T) {
+	// bfs.Options flow through to the multi-source engine: α and β so
+	// large that every level runs bottom-up must keep the columns bitwise
+	// identical while running zero top-down steps.
 	g := gen.Kron(9, 8, 6)
 	s := 40
 	b1 := linalg.NewDense(g.NumV, s)
 	b2 := linalg.NewDense(g.NumV, s)
 	p1 := Phase(g, b1, 5, RandomMS, bfs.Options{}, nil, nil)
-	p2 := Phase(g, b2, 5, RandomMS, bfs.Options{ForceTopDown: true}, nil, nil)
+	p2 := Phase(g, b2, 5, RandomMS, bfs.Options{Alpha: 1 << 40, Beta: 1 << 40}, nil, nil)
 	for i := range b1.Data {
 		if b1.Data[i] != b2.Data[i] {
-			t.Fatal("ForceTopDown changed the distance matrix")
+			t.Fatal("direction thresholds changed the distance matrix")
 		}
 	}
 	for _, st := range p2.Traversal {
-		if st.BottomUpSteps != 0 {
-			t.Fatalf("ForceTopDown phase ran bottom-up: %+v", st)
+		if st.TopDownSteps != 0 || st.BottomUpSteps == 0 {
+			t.Fatalf("forced bottom-up phase ran top-down: %+v", st)
 		}
 	}
-	var bu int
+	var td int
 	for _, st := range p1.Traversal {
-		bu += st.BottomUpSteps
+		td += st.TopDownSteps
 	}
-	if bu == 0 {
-		t.Fatal("default phase never switched bottom-up on kron")
+	if td == 0 {
+		t.Fatal("default phase never ran top-down on kron")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package workspace provides pooled, size-checked scratch memory for the
 // layout pipeline's hot path. A steady-state ParHDE run touches four
 // large buffer families — the BFS frontier/queue scratch and hop vectors,
-// the column-major distance matrix B, the DOrtho kept-column arena behind
-// S, and the TripleProd product P with its row-major repack panels — and
+// the column-major distance matrix B, the DOrtho kept-column store behind
+// S, and the TripleProd product P with its row-major source pack — and
 // without reuse every queued layout job re-pays those O(n·s) allocations
 // and the GC traffic they induce, exactly the unbatched memory waste
 // BatchLayout attributes to shared-memory layout codes. A Workspace owns
@@ -47,12 +47,13 @@ type Workspace struct {
 	Deg []float64
 	// B backs the n×s distance matrix of the decoupled path.
 	B *linalg.Dense
-	// Ortho is the DOrtho kept-column arena, work vector, and the
+	// Ortho is the DOrtho kept-column store, work vector, and the
 	// reduction-partials buffer reused across every MGS inner product.
 	Ortho *ortho.Scratch
-	// SRM and PRM are the n·s row-major repack panels of the blocked
-	// TripleProd kernel (one edge-list pass advances all s columns).
-	SRM, PRM []float64
+	// SRM is the n·s row-major pack of S that the TripleProd L·S kernel
+	// gathers neighbor rows from (one edge-list pass advances all s
+	// columns).
+	SRM []float64
 	// P backs the n×s TripleProd product L·S.
 	P []float64
 	// Z backs the s×s projected matrix Sᵀ(LS).
@@ -62,10 +63,11 @@ type Workspace struct {
 	// so no worker-count change can desynchronize it from the kernel's
 	// tile grid.
 	GemmPartials []float64
-	// Pack is the per-worker packed-chunk arena of the cache-resident
-	// dense kernels (packed AᵀB and the fused TripleProd unpack). The
-	// kernels size it themselves from the worker count they snapshot at
-	// entry, so it carries across budget changes; it only grows.
+	// Pack is the per-worker output-chunk arena of the TripleProd L·S
+	// kernel, which fuses each chunk of rows into its slot and unpacks it
+	// while it is cache-resident. The kernel sizes it from the worker
+	// count it snapshots at entry, so it carries across budget changes;
+	// it only grows.
 	Pack *linalg.PackArena
 	// Coords backs the n×p output layout. The Layout returned from a
 	// workspace-backed run aliases it; Clone before the next run if
@@ -104,7 +106,6 @@ func (ws *Workspace) Reshape(n, s, p int) {
 		ws.Ortho.Ensure(n, s)
 	}
 	ws.SRM = growFloat(ws.SRM, n*s)
-	ws.PRM = growFloat(ws.PRM, n*s)
 	ws.P = growFloat(ws.P, n*s)
 	ws.Z = growFloat(ws.Z, s*s)
 	ws.GemmPartials = growFloat(ws.GemmPartials, linalg.ReduceBlocks(n)*s*s)

@@ -56,9 +56,6 @@ func TestSoakRandomizedPipelines(t *testing.T) {
 			opt.Ortho = ortho.CGS
 			opt.Coupled = false
 		}
-		if r.Intn(3) == 0 {
-			opt.LS = core.LSTiled
-		}
 		lay, rep, err := core.ParHDE(g, opt)
 		if err != nil {
 			// The only acceptable failure at these sizes: too few
