@@ -43,6 +43,18 @@ type Options struct {
 	Beta  int64 // bottom-up → top-down switch threshold (0 = DefaultBeta)
 }
 
+// parallelLevelWork is the level work below which a level runs on one
+// goroutine even when the budget has more workers. A level's work is the
+// vertices it visits plus its frontier's edges: the frontier's vertices
+// for a top-down step, all n for a bottom-up step (it tests every vertex
+// against the frontier bitmap). Below the constant a fan-out (goroutine
+// spawns, a WaitGroup, closures, CAS claims) costs more than it saves: a
+// road-network level holds a few hundred vertices, and thousands of such
+// levels made the 2-worker traversal slower than the 1-worker one.
+// Calibrated on a 2-core Xeon (EXPERIMENTS.md): 2^12–2^16 all end the
+// road slowdown; 2^14 is the middle of that plateau.
+const parallelLevelWork = 1 << 14
+
 // Runner holds the reusable state for repeated traversals over one graph,
 // so the s searches of the BFS phase don't reallocate frontiers — the
 // paper stresses the O(sn) distance storage is the dominant extra memory.
@@ -52,6 +64,9 @@ type Runner struct {
 	sc      *Scratch
 	bud     parallel.Budget
 	workers int
+	// serialLevels and parallelLevels count the levels run on one
+	// goroutine and fanned out across workers, over the Runner's life.
+	serialLevels, parallelLevels int
 }
 
 // NewRunnerBudget creates a Runner for g backed by sc, regrowing it if it
@@ -87,6 +102,14 @@ func NewRunnerBudget(g *graph.CSR, opt Options, sc *Scratch, bud parallel.Budget
 // traversal statistics. dist may be a column of the HDE distance matrix B;
 // the write pattern is atomic-free for distances (a CAS claims each vertex
 // once, then the distance store is unconditional), matching §3.1.
+//
+// Each level decides afresh whether to fan out, by comparing its work
+// with parallelLevelWork; the queue↔bitmap conversion before a level
+// follows the same rule (the rebuild from the bitmap strides all n, like
+// a bottom-up step). The choice cannot change a result: a level computes
+// the same next-frontier vertex set whichever way it runs — only the
+// order of the next queue differs — so dist and Stats are identical at
+// every worker budget.
 func (r *Runner) Distances(src int32, dist []int32) Stats {
 	g := r.g
 	n := g.NumV
@@ -110,30 +133,39 @@ func (r *Runner) Distances(src int32, dist []int32) Stats {
 
 	for frontierSize > 0 {
 		st.Levels++
+		frontierPar := r.fanOut(frontierSize + frontierEdges)
+		stridePar := r.fanOut(int64(n) + frontierEdges)
 		if !bottomUp && frontierEdges > unexploredEdges/r.opt.Alpha {
 			// Switch: materialize the frontier bitmap from the queue.
 			r.sc.front.Reset()
 			q := r.sc.queue
-			if r.workers == 1 {
+			if frontierPar {
+				r.bud.For(len(q), func(i int) { r.sc.front.Set(q[i]) })
+			} else {
 				for _, v := range q {
 					r.sc.front.Set(v)
 				}
-			} else {
-				r.bud.For(len(q), func(i int) { r.sc.front.Set(q[i]) })
 			}
 			bottomUp = true
 		} else if bottomUp && frontierSize < int64(n)/r.opt.Beta {
 			// Switch back: rebuild the queue from the bitmap.
-			r.rebuildQueue(level)
+			r.rebuildQueue(stridePar)
 			bottomUp = false
 		}
 		var nf, ne, scanned int64
+		par := frontierPar
 		if bottomUp {
-			nf, ne, scanned = r.bottomUpStep(level, dist)
+			par = stridePar
+			nf, ne, scanned = r.bottomUpStep(level, dist, par)
 			st.BottomUpSteps++
 		} else {
-			nf, ne, scanned = r.topDownStep(level, dist)
+			nf, ne, scanned = r.topDownStep(level, dist, par)
 			st.TopDownSteps++
+		}
+		if par {
+			r.parallelLevels++
+		} else {
+			r.serialLevels++
 		}
 		st.ScannedEdges += scanned
 		unexploredEdges -= ne
@@ -143,16 +175,22 @@ func (r *Runner) Distances(src int32, dist []int32) Stats {
 	return st
 }
 
-// topDownStep expands the queue frontier, claiming unvisited neighbors
-// with a CAS on their distance slot. Returns the next frontier size, its
-// total degree, and the number of adjacency entries scanned.
-func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) {
+// fanOut reports whether a level of the given work runs across the
+// budget's workers rather than on the calling goroutine.
+func (r *Runner) fanOut(work int64) bool {
+	return r.workers > 1 && work >= parallelLevelWork
+}
+
+// topDownStep expands the queue frontier, serially or (par) across the
+// budget's workers, which claim unvisited neighbors with a CAS on their
+// distance slot. Returns the next frontier size, its total degree, and
+// the number of adjacency entries scanned.
+func (r *Runner) topDownStep(level int32, dist []int32, par bool) (nf, ne, scanned int64) {
 	g := r.g
 	q := r.sc.queue
-	w := r.workers
-	if w == 1 {
-		// Single-worker fast path: expand inline, no goroutine spawn (and
-		// hence no per-level allocation on the steady-state hot path).
+	if !par {
+		// Serial path: expand inline, no goroutine spawn (and hence no
+		// per-level allocation on the steady-state hot path).
 		local := r.sc.nextQ[0][:0]
 		var localNE, localScan int64
 		for _, u := range q {
@@ -170,6 +208,7 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 		r.sc.queue = append(r.sc.queue[:0], local...)
 		return int64(len(local)), localNE, localScan
 	}
+	w := r.workers
 	var totNF, totNE, totScan int64
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -207,48 +246,27 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 }
 
 // bottomUpStep has every unvisited vertex scan its own adjacency for a
-// parent on the current level (held in dist), stopping at the first hit —
-// the step that slashes edge traffic on low-diameter skewed graphs.
-func (r *Runner) bottomUpStep(level int32, dist []int32) (nf, ne, scanned int64) {
-	g := r.g
+// parent on the current level, stopping at the first hit — the step that
+// slashes edge traffic on low-diameter skewed graphs. With par, workers
+// own disjoint vertex blocks, so the claims need no CAS.
+func (r *Runner) bottomUpStep(level int32, dist []int32, par bool) (nf, ne, scanned int64) {
 	r.sc.next.Reset()
-	if r.workers == 1 {
-		// Single-worker fast path: no goroutine, no closure, no atomics.
-		nf, ne, scanned = r.bottomUpRange(level, dist, 0, g.NumV)
+	if !par {
+		nf, ne, scanned = r.bottomUpRange(level, dist, 0, r.g.NumV)
 		r.sc.front.Swap(r.sc.next)
 		return nf, ne, scanned
 	}
-	var totNF, totNE, totScan int64
-	r.bud.ForBlock(g.NumV, func(lo, hi int) {
-		var localNF, localNE, localScan int64
-		for v := lo; v < hi; v++ {
-			if dist[v] != Unreached {
-				continue
-			}
-			adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-			for k, u := range adj {
-				// Membership in the frontier bitmap (fully built before this
-				// phase's barrier) is the parent test; consulting dist here
-				// would race with other workers claiming their own vertices.
-				if r.sc.front.Get(u) {
-					dist[v] = level + 1
-					r.sc.next.Set(int32(v))
-					localNF++
-					localNE += g.Offsets[v+1] - g.Offsets[v]
-					localScan += int64(k + 1)
-					break
-				}
-				if k == len(adj)-1 {
-					localScan += int64(len(adj))
-				}
-			}
-		}
-		atomic.AddInt64(&totNF, localNF)
-		atomic.AddInt64(&totNE, localNE)
-		atomic.AddInt64(&totScan, localScan)
+	// The shared totals escape into the workers' closure, so they live
+	// on this branch only: the serial path above allocates nothing.
+	var totNF, totNE, totScan atomic.Int64
+	r.bud.ForBlock(r.g.NumV, func(lo, hi int) {
+		lnf, lne, lscan := r.bottomUpRange(level, dist, lo, hi)
+		totNF.Add(lnf)
+		totNE.Add(lne)
+		totScan.Add(lscan)
 	})
 	r.sc.front.Swap(r.sc.next)
-	return totNF, totNE, totScan
+	return totNF.Load(), totNE.Load(), totScan.Load()
 }
 
 // bottomUpRange is one contiguous chunk of the bottom-up step: every
@@ -262,6 +280,9 @@ func (r *Runner) bottomUpRange(level int32, dist []int32, lo, hi int) (nf, ne, s
 		}
 		adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
 		for k, u := range adj {
+			// Membership in the frontier bitmap (fully built before this
+			// level's barrier) is the parent test; consulting dist here
+			// would race with other workers claiming their own vertices.
 			if r.sc.front.Get(u) {
 				dist[v] = level + 1
 				r.sc.next.Set(int32(v))
@@ -278,12 +299,11 @@ func (r *Runner) bottomUpRange(level int32, dist []int32, lo, hi int) (nf, ne, s
 	return nf, ne, scanned
 }
 
-// rebuildQueue converts the bitmap frontier (vertices at the given level)
-// back into queue form.
-func (r *Runner) rebuildQueue(level int32) {
+// rebuildQueue converts the bitmap frontier back into queue form,
+// serially or (par) with one vertex range per worker.
+func (r *Runner) rebuildQueue(par bool) {
 	g := r.g
-	w := r.workers
-	if w == 1 {
+	if !par {
 		q := r.sc.queue[:0]
 		for v := 0; v < g.NumV; v++ {
 			if r.sc.front.Get(int32(v)) {
@@ -293,6 +313,7 @@ func (r *Runner) rebuildQueue(level int32) {
 		r.sc.queue = q
 		return
 	}
+	w := r.workers
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for wk := 0; wk < w; wk++ {

@@ -122,20 +122,31 @@ func loadBudget(t *testing.T) allocBudget {
 
 // TestSteadyStateAllocBudget asserts the warmed-workspace hot path stays
 // within the checked-in allocation budget. It pins GOMAXPROCS to 1 so the
-// parallel primitives take their serial fast paths and the measurement is
-// deterministic; what remains is the small shape-independent constant
-// (result headers, the s×s eigensolve) the budget file pins down.
+// measurement is deterministic. The grid cases run at the live budget, so
+// the parallel primitives take their serial fast paths and what remains is
+// the small shape-independent constant (result headers, the s×s
+// eigensolve) the budget file pins down. parhde_road_2w pins 2 workers on
+// a road graph past 2·MinGrain, so every phase's fan-outs are live: its
+// budget prices one layout's fan-outs and catches a return to per-level
+// fan-out in the BFS, which costs ~7 allocations on each of its ~1,960
+// levels.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	budget := loadBudget(t)
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
-	g := gen.Grid2D(24, 30) // n = 720 < MinGrain·2: serial primitives
-	for name, opt := range map[string]Options{
-		"parhde_decoupled": {Subspace: 10, Seed: 3, SkipConnectivityCheck: true},
-		"parhde_coupled":   {Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Coupled: true},
-		"parhde_random_ms": {Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Pivots: pivot.RandomMS},
+	grid := gen.Grid2D(24, 30) // n = 720 < MinGrain·2: serial primitives
+	road := gen.Road(64, 64, 1)
+	for name, c := range map[string]struct {
+		g   *graph.CSR
+		opt Options
+	}{
+		"parhde_decoupled": {grid, Options{Subspace: 10, Seed: 3, SkipConnectivityCheck: true}},
+		"parhde_coupled":   {grid, Options{Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Coupled: true}},
+		"parhde_random_ms": {grid, Options{Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Pivots: pivot.RandomMS}},
+		"parhde_road_2w":   {road, Options{Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Workers: 2}},
 	} {
+		g, opt := c.g, c.opt
 		t.Run(name, func(t *testing.T) {
 			want, ok := budget.SteadyState[name]
 			if !ok {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 
 	"repro/internal/graph"
@@ -41,6 +42,12 @@ const (
 	warmEta      = 0.6
 	warmEtaDecay = 0.5
 )
+
+// ErrNonFiniteRefinement is returned by ParHDE when a warm refinement
+// yields a NaN or infinite coordinate — a non-finite prior, or a chain of
+// refinements that has degenerated. Such a layout is never returned: a
+// caller keeps whatever it drew before and can lay the graph out cold.
+var ErrNonFiniteRefinement = errors.New("core: warm refinement produced non-finite coordinates")
 
 // warmEligible reports whether opt.Prior can warm-start a layout of g:
 // the prior must exist, match the requested dimensionality, cover at most
@@ -117,6 +124,11 @@ func warmRefine(ctx context.Context, bud parallel.Budget, g *graph.CSR, opt Opti
 		cur, nxt = nxt, cur
 	}
 	rep.RefineSweeps = sweeps
+	for _, x := range cur.Data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, ErrNonFiniteRefinement
+		}
+	}
 
 	if ws != nil && &cur.Data[0] != &ws.Coords[0] {
 		out := linalg.ViewDense(ws.Coords, n, p)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -282,5 +283,33 @@ func TestWarmStartPriorNotMutated(t *testing.T) {
 				t.Fatalf("prior coordinate (%d,%d) mutated", i, j)
 			}
 		}
+	}
+}
+
+// TestWarmRefinementRejectsNonFinitePrior: a prior carrying a NaN or an
+// infinity spreads through the sweeps' neighbor means and D-norm
+// corrections; ParHDE must return ErrNonFiniteRefinement rather than a
+// layout with non-finite coordinates, with or without a workspace.
+func TestWarmRefinementRejectsNonFinitePrior(t *testing.T) {
+	g := gen.Grid2D(20, 20)
+	good, _, err := ParHDE(g, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := mutateEdges(t, g, 4, 5)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, ws := range []*workspace.Workspace{nil, workspace.New()} {
+			prior := good.Clone()
+			prior.Coords.Col(1)[37] = bad
+			lay, _, err := ParHDE(g2, Options{Seed: 1, Prior: prior, PriorDeltaEdges: 4, Workspace: ws})
+			if !errors.Is(err, ErrNonFiniteRefinement) || lay != nil {
+				t.Fatalf("prior with %v (workspace %v): got layout %v, err %v; want ErrNonFiniteRefinement",
+					bad, ws != nil, lay != nil, err)
+			}
+		}
+	}
+	// The same graph and delta from the finite prior still refine.
+	if _, rep, err := ParHDE(g2, Options{Seed: 1, Prior: good, PriorDeltaEdges: 4}); err != nil || !rep.Warm {
+		t.Fatalf("finite prior: warm=%v err=%v", rep != nil && rep.Warm, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/ortho"
 	"repro/internal/workspace"
 )
@@ -18,17 +19,23 @@ import (
 func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
+	kron := gen.Kron(13, 8, 3) // n=8192: spans two reduction tiles, admits 4-way block fan-out
+	// A high-diameter road graph, n=16384: each BFS runs its top-down
+	// levels serially and fans out the bottom-up steps near its end.
+	road := gen.Road(128, 128, 1)
 	graphs := []struct {
 		name string
+		g    *graph.CSR
 		opt  Options
 	}{
-		{"decoupled", Options{Subspace: 8, Seed: 11}},
-		{"coupled", Options{Subspace: 8, Seed: 11, Coupled: true}},
-		{"decoupled-cgs", Options{Subspace: 8, Seed: 11, Ortho: ortho.CGS}},
+		{"decoupled", kron, Options{Subspace: 8, Seed: 11}},
+		{"coupled", kron, Options{Subspace: 8, Seed: 11, Coupled: true}},
+		{"decoupled-cgs", kron, Options{Subspace: 8, Seed: 11, Ortho: ortho.CGS}},
+		{"road-decoupled", road, Options{Subspace: 8, Seed: 11}},
 	}
-	g := gen.Kron(13, 8, 3) // n=8192: spans two reduction tiles, admits 4-way block fan-out
-	ws := workspace.New()   // shared across budgets: arenas must be budget-independent
+	ws := workspace.New() // shared across budgets: arenas must be budget-independent
 	for _, c := range graphs {
+		g := c.g
 		opt := c.opt
 		opt.Workers = 1
 		ref, refRep, err := ParHDE(g, opt)

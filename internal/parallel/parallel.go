@@ -64,19 +64,6 @@ func ForDynamicBlock(n, chunk int, body func(lo, hi int)) {
 	Live().ForDynamicBlock(n, chunk, body)
 }
 
-// Run executes the given thunks concurrently and waits for all of them.
-func Run(thunks ...func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(thunks))
-	for _, t := range thunks {
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(t)
-	}
-	wg.Wait()
-}
-
 // SumFloat64 computes the sum of f(i) over [0, n) with a per-worker partial
 // accumulator followed by a serial combine, so the result is deterministic
 // for a fixed worker count.

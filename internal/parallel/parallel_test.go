@@ -69,18 +69,6 @@ func TestForDynamicDefaultChunk(t *testing.T) {
 	}
 }
 
-func TestRunExecutesAllThunks(t *testing.T) {
-	var a, b, c int32
-	Run(
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 2) },
-		func() { atomic.StoreInt32(&c, 3) },
-	)
-	if a != 1 || b != 2 || c != 3 {
-		t.Fatalf("thunks not all run: %d %d %d", a, b, c)
-	}
-}
-
 func TestSumFloat64MatchesSerial(t *testing.T) {
 	n := 4*MinGrain + 9
 	vals := make([]float64, n)

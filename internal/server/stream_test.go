@@ -7,11 +7,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // sseClient reads events off one /stream connection.
@@ -330,5 +333,54 @@ func TestWarmInstallMetrics(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestNonFiniteRefinementFailsJob: a warm refinement that comes out
+// non-finite fails its job instead of installing a NaN view. The previous
+// view stays current, and the next good refinement streams the very next
+// version, so no frame went missing in between.
+func TestNonFiniteRefinementFailsJob(t *testing.T) {
+	s, ts := newTestServerPair(t, Config{})
+	c := dialStream(t, ts.URL, "default")
+	_, snap := c.next(t)
+
+	// Poison the installed layout, which the next PATCH takes as its prior.
+	s.mu.Lock()
+	v := s.views["default"]
+	col := v.layout.Coords.Col(0)
+	saved := col[3]
+	col[3] = math.NaN()
+	s.mu.Unlock()
+
+	code, b := patchGraph(t, ts.URL, "default", `{"mutations":[{"op":"addEdge","u":0,"v":47}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("patch status %d: %s", code, b)
+	}
+	var accepted struct {
+		Job jobs.Status `json:"job"`
+	}
+	if err := json.Unmarshal(b, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	st := waitJobState(t, ts.URL, accepted.Job.ID, "failed")
+	if !strings.Contains(st.Error, "non-finite") {
+		t.Fatalf("failed job error = %q, want the non-finite refinement error", st.Error)
+	}
+	s.mu.Lock()
+	still := s.views["default"]
+	col[3] = saved
+	s.mu.Unlock()
+	if still != v {
+		t.Fatal("a failed refinement replaced the installed view")
+	}
+
+	code, b = patchGraph(t, ts.URL, "default", `{"mutations":[{"op":"addEdge","u":1,"v":33}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("second patch status %d: %s", code, b)
+	}
+	event, ev := c.next(t)
+	if event != "delta" || ev.Version != snap.Version+1 {
+		t.Fatalf("after the failed job: event %q version %d, want delta version %d", event, ev.Version, snap.Version+1)
 	}
 }
